@@ -42,6 +42,10 @@ type Pass struct {
 	Pkg      *Package
 
 	diags *[]Diagnostic
+	// callGraph returns the module call graph (callgraph.go) over every
+	// package of the Run invocation, built once on first use and shared
+	// by all analyzers.
+	callGraph func() *callGraph
 }
 
 // Reportf records a diagnostic at pos.
@@ -75,11 +79,12 @@ type Analyzer struct {
 	// given import path. Nil means "every package". The driver consults
 	// it; tests bypass it by invoking Run directly.
 	AppliesTo func(pkgPath string) bool
-	Run       func(*Pass)
+	// Run, when non-nil, analyzes one package.
+	Run func(*Pass)
 	// Finish, when non-nil, runs after every package has been analyzed
-	// (module-wide rules such as cross-package name collisions). The
-	// analyzer accumulates state in Run and reports through the final
-	// pass handed here.
+	// (module-wide rules: cross-package name collisions, call-graph
+	// contracts). The analyzer reports through the final pass handed
+	// here, from state accumulated in Run or from the shared call graph.
 	Finish func(*Pass)
 	// Reset clears accumulated state so one Analyzer value can serve
 	// several driver invocations (tests).
@@ -142,6 +147,13 @@ func pathWithinOrRoot(prefixes ...string) func(string) bool {
 // back sorted by file, line, column, analyzer.
 func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 	var diags []Diagnostic
+	var graph *callGraph
+	graphOf := func() *callGraph {
+		if graph == nil {
+			graph = newCallGraph(pkgs)
+		}
+		return graph
+	}
 	for _, a := range analyzers {
 		if a.Reset != nil {
 			a.Reset()
@@ -150,16 +162,16 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 	for _, pkg := range pkgs {
 		pkg.scanDirectives()
 		for _, a := range analyzers {
-			if a.AppliesTo != nil && !a.AppliesTo(pkg.Path) {
+			if a.Run == nil || a.AppliesTo != nil && !a.AppliesTo(pkg.Path) {
 				continue
 			}
-			a.Run(&Pass{Analyzer: a, Pkg: pkg, diags: &diags})
+			a.Run(&Pass{Analyzer: a, Pkg: pkg, diags: &diags, callGraph: graphOf})
 		}
 		diags = append(diags, pkg.directiveProblems()...)
 	}
 	for _, a := range analyzers {
 		if a.Finish != nil {
-			a.Finish(&Pass{Analyzer: a, Pkg: lastPkg(pkgs), diags: &diags})
+			a.Finish(&Pass{Analyzer: a, Pkg: lastPkg(pkgs), diags: &diags, callGraph: graphOf})
 		}
 	}
 	diags = suppress(pkgs, diags)

@@ -7,13 +7,14 @@ import (
 	"strings"
 )
 
-// This file is the interprocedural layer the purity analyzer builds on:
-// bottom-up function summaries stitched into a module-wide call graph.
-// Each package pass contributes one funcSummary per function
-// declaration (direct effects + static callee edges); after every
-// package has been analyzed, the analyzer closes the graph over its
-// roots and attributes each function's direct effects to the call
-// chains that reach it.
+// This file is the interprocedural layer the purity, skipsafe, and
+// clockstep analyzers share: one module-wide call graph per Run
+// invocation (Pass.callGraph), built from one bottom-up funcSummary per
+// function declaration. A summary records every direct effect any of the three
+// contracts cares about plus the static callee edges; each analyzer
+// then picks its roots, its trusted leaves, and the effect kinds it
+// reports, and walks the graph from there, attributing each function's
+// direct effects to the call chain that first reaches it.
 //
 // The engine mirrors the intraprocedural dataflow engine's design
 // choices (dataflow.go): it is deliberately over-approximate in the
@@ -24,8 +25,8 @@ import (
 //     fields) is an opaque boundary assumed to honor the contract of
 //     its declaration site — the callee cannot be resolved statically;
 //   - out-of-module callees carry no summary; they are classified by
-//     the per-analyzer external-call tables (ambient I/O packages,
-//     PureFuncs) instead of traversed;
+//     the external-call tables (ambient I/O packages, PureFuncs)
+//     instead of traversed;
 //   - exceeding the caps degrades to an explicit "unverifiable"
 //     diagnostic, never to silent trust.
 const (
@@ -41,20 +42,16 @@ const (
 type effectKind uint8
 
 const (
-	// effectGlobalWrite: an assignment whose target is (or aliases) a
-	// package-level variable.
+	// effectGlobalWrite: an assignment whose target is a package-level
+	// variable, or a local the dataflow engine traces back to one.
 	effectGlobalWrite effectKind = iota
 	// effectAmbientIO: a call into the ambient-I/O surface of the
 	// standard library (os, net, wall clock, global rand, console fmt).
 	effectAmbientIO
-	// effectLeak: a package-level write whose value retains a pointer
-	// that flowed in through a parameter — caller memory escaping into
-	// state that outlives the call.
-	effectLeak
 	// effectStateWrite: a write through a pointer-shaped parameter or
-	// receiver — caller-visible mutation (used by skipsafe, which is
-	// stricter than purity: even receiver state must stay frozen while
-	// the engine fast-forwards).
+	// receiver — caller-visible mutation (skipsafe is stricter than
+	// purity: even receiver state must stay frozen while the engine
+	// fast-forwards).
 	effectStateWrite
 	// effectSpawn / effectSend: goroutine launch and channel send —
 	// externally observable scheduling effects (skipsafe).
@@ -66,9 +63,12 @@ const (
 type effect struct {
 	kind effectKind
 	pos  token.Pos
-	// what names the offender: the written variable, the ambient callee,
-	// the leaked parameter.
+	// what names the offender: the written variable, the ambient callee.
 	what string
+	// leak names the pointer-shaped parameter whose memory a direct
+	// package-level write retains — caller memory escaping into state
+	// that outlives the call ("" when none).
+	leak string
 }
 
 // funcSummary is the bottom-up summary of one function declaration.
@@ -76,8 +76,14 @@ type funcSummary struct {
 	obj  *types.Func
 	decl *ast.FuncDecl
 	pkg  *Package
+	// flows is the dataflow cache of pkg, shared by every summary of the
+	// package and by the analyzers' own origin queries.
+	flows *flowCache
 
-	// effects are the function's direct violations, in source order.
+	// effects are the function's direct effects, in source order.
+	// Effects inside nested function literals are attributed to the
+	// declaration (over-approximation: the literal may run whenever the
+	// function does).
 	effects []effect
 	// callees are the module-resolvable static call edges, deduplicated
 	// in first-call order; calleePos holds the first call site of each.
@@ -86,9 +92,6 @@ type funcSummary struct {
 	// overflow marks callee fan-cap exhaustion: the summary is
 	// incomplete and the function must report as unverifiable.
 	overflow bool
-	// trusted marks a valid //spawnvet:pure directive: the function is
-	// an opaque pure leaf and is neither descended into nor reported.
-	trusted bool
 }
 
 // addCallee records one static call edge, deduplicated, fan-capped.
@@ -145,8 +148,8 @@ func recvTypeName(fn *ast.FuncDecl) string {
 	}
 }
 
-// callGraph accumulates summaries across packages (one analyzer
-// invocation may span the whole module).
+// callGraph holds the summaries of every function declaration in one
+// Run invocation.
 type callGraph struct {
 	sums map[*types.Func]*funcSummary
 	// order preserves collection order (package load order, then file
@@ -155,17 +158,149 @@ type callGraph struct {
 	order []*types.Func
 }
 
-func newCallGraph() *callGraph {
-	return &callGraph{sums: map[*types.Func]*funcSummary{}}
+// newCallGraph is the collector: one summary per function declaration
+// with a body, across every package.
+func newCallGraph(pkgs []*Package) *callGraph {
+	g := &callGraph{sums: map[*types.Func]*funcSummary{}}
+	for _, pkg := range pkgs {
+		flows := newFlowCache(pkg.Info)
+		for _, f := range pkg.Files {
+			for _, decl := range f.Decls {
+				fd, ok := decl.(*ast.FuncDecl)
+				if !ok || fd.Body == nil {
+					continue
+				}
+				obj, ok := pkg.Info.Defs[fd.Name].(*types.Func)
+				if !ok || g.sums[obj] != nil {
+					continue
+				}
+				sum := &funcSummary{obj: obj, decl: fd, pkg: pkg, flows: flows,
+					calleePos: map[*types.Func]token.Pos{}}
+				sum.scan()
+				g.sums[obj] = sum
+				g.order = append(g.order, obj)
+			}
+		}
+	}
+	return g
 }
 
-// add registers a summary; collection order is preserved.
-func (g *callGraph) add(s *funcSummary) {
-	if _, dup := g.sums[s.obj]; dup {
+// scan records the summary's direct effects and static call edges.
+func (s *funcSummary) scan() {
+	walkStack(s.decl, func(n ast.Node, stack []ast.Node) {
+		switch n := n.(type) {
+		case *ast.CallExpr:
+			s.recordCall(n)
+		case *ast.AssignStmt:
+			for i, lhs := range n.Lhs {
+				var rhs ast.Expr
+				if len(n.Lhs) == len(n.Rhs) {
+					rhs = n.Rhs[i]
+				}
+				s.recordWrite(stack, lhs, rhs)
+			}
+		case *ast.IncDecStmt:
+			s.recordWrite(stack, n.X, nil)
+		case *ast.GoStmt:
+			s.effects = append(s.effects, effect{kind: effectSpawn, pos: n.Pos()})
+		case *ast.SendStmt:
+			s.effects = append(s.effects, effect{kind: effectSend, pos: n.Pos()})
+		}
+	})
+}
+
+// recordCall classifies one call site: pure-registry skip, ambient
+// effect, or static call-graph edge. Builtins, conversions, func-typed
+// values, and interface methods are opaque.
+func (s *funcSummary) recordCall(call *ast.CallExpr) {
+	fn, ok := calleeObject(s.pkg.Info, call).(*types.Func)
+	if !ok || fn.Pkg() == nil || PureFuncs[fn.FullName()] {
 		return
 	}
-	g.sums[s.obj] = s
-	g.order = append(g.order, s.obj)
+	if ambientCall(fn) {
+		s.effects = append(s.effects, effect{kind: effectAmbientIO, pos: call.Pos(), what: fn.FullName()})
+		return
+	}
+	s.addCallee(fn, call.Pos())
+}
+
+// recordWrite classifies one assignment target. A package-level target
+// is a global write outright (retaining rhs's pointer-shaped parameter
+// memory, when it does). An indirect write through a reference-shaped
+// local is a global write when the local's origins include
+// package-level state, and a state write when they include a
+// pointer-shaped parameter or receiver. Frame-local scratch is no
+// effect.
+func (s *funcSummary) recordWrite(stack []ast.Node, lhs, rhs ast.Expr) {
+	base, hadStar, wrapped := writeBase(lhs)
+	if base == nil || base.Name == "_" {
+		return
+	}
+	v, ok := objOf(s.pkg.Info, base).(*types.Var)
+	if !ok || v.IsField() {
+		return
+	}
+	flow := s.flows.at(stack)
+	if isPackageLevel(v) {
+		eff := effect{kind: effectGlobalWrite, pos: lhs.Pos(), what: "package-level variable " + v.Name()}
+		if p := leakedParam(flow, rhs); p != nil {
+			eff.leak = p.Name()
+		}
+		s.effects = append(s.effects, eff)
+		return
+	}
+	if !wrapped || (!hadStar && !refShaped(v.Type())) || flow == nil {
+		// Writing a local itself, or an element of a local value copy,
+		// stays inside the frame.
+		return
+	}
+	global, state := false, false
+	for _, o := range flow.originsOf(base) {
+		switch {
+		case o.Kind == OriginGlobal && !global:
+			global = true
+			alias := exprText(o.Expr)
+			if o.Obj != nil {
+				alias = o.Obj.Name()
+			}
+			s.effects = append(s.effects, effect{kind: effectGlobalWrite, pos: lhs.Pos(),
+				what: "package-level state through " + base.Name + " (aliasing " + alias + ")"})
+		case o.Kind == OriginParam && !state:
+			if p, ok := o.Obj.(*types.Var); ok && refShaped(p.Type()) {
+				state = true
+				s.effects = append(s.effects, effect{kind: effectStateWrite, pos: lhs.Pos(),
+					what: exprText(lhs) + " (caller-visible through " + p.Name() + ")"})
+			}
+		}
+	}
+}
+
+// leakedParam returns the pointer-shaped parameter whose memory rhs
+// retains, or nil.
+func leakedParam(flow *funcFlow, rhs ast.Expr) *types.Var {
+	if flow == nil || rhs == nil {
+		return nil
+	}
+	for _, o := range flow.originsOf(rhs) {
+		if o.Kind != OriginParam || o.Obj == nil {
+			continue
+		}
+		if p, ok := o.Obj.(*types.Var); ok && refShaped(p.Type()) {
+			return p
+		}
+	}
+	return nil
+}
+
+// roots returns the summaries matching isRoot, in collection order.
+func (g *callGraph) roots(isRoot func(*funcSummary) bool) []*types.Func {
+	var out []*types.Func
+	for _, fn := range g.order {
+		if isRoot(g.sums[fn]) {
+			out = append(out, fn)
+		}
+	}
+	return out
 }
 
 // lookup resolves a callee to its summary, normalizing instantiated
@@ -190,11 +325,11 @@ type chainVisit struct {
 
 // walkFrom breadth-first-traverses the graph from the roots, invoking
 // visit exactly once per reachable summarized function with the chain
-// that first reached it. Trusted (//spawnvet:pure) functions stop the
-// walk: visit is not called for them and their callees are not
-// enqueued. When a chain would exceed callGraphDepthCap, deep is called
-// with the truncation point and the walk stops descending there.
-func (g *callGraph) walkFrom(roots []*types.Func,
+// that first reached it. Functions the analyzer trusts stop the walk:
+// visit is not called for them and their callees are not enqueued.
+// When a chain would exceed callGraphDepthCap, deep is called with the
+// truncation point and the walk stops descending there.
+func (g *callGraph) walkFrom(roots []*types.Func, trusted func(*funcSummary) bool,
 	visit func(sum *funcSummary, chain []string),
 	deep func(sum *funcSummary, calleePos token.Pos, chain []string)) {
 
@@ -215,7 +350,7 @@ func (g *callGraph) walkFrom(roots []*types.Func,
 			continue
 		}
 		parent[v.fn] = v.parent
-		if sum.trusted {
+		if trusted(sum) {
 			continue
 		}
 		visit(sum, g.chain(parent, v.fn))

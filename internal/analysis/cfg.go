@@ -7,25 +7,26 @@ import (
 	"go/printer"
 	"go/token"
 	"go/types"
+	"sort"
 	"strings"
 )
 
-// This file is the flow-sensitive layer of the dataflow engine: an
-// intraprocedural control-flow graph over go/ast (basic blocks with
-// branch, loop, switch, select, and defer edges), reverse-postorder
-// iteration, dominators, and a reaching-definitions fixpoint that
-// upgrades funcFlow's origin queries from "every assignment anywhere in
-// the function" to "the assignments that actually reach this point".
-// The Origin lattice (dataflow.go) is unchanged — seedtaint, units,
-// purity, clockstep, and skipsafe consume the same leaf sets, they just
-// stop seeing origins merged across mutually exclusive branches.
+// This file is the flow-sensitive core of the dataflow engine
+// (dataflow.go): an intraprocedural control-flow graph over go/ast
+// (basic blocks with branch, loop, switch, select, and defer edges),
+// reverse-postorder iteration, dominators, and the reaching-definitions
+// fixpoint that answers funcFlow's origin queries with the definitions
+// that actually reach each program point.
 //
-// Two deliberate degradations keep the layer safe rather than clever:
-// a function containing goto falls back to the flow-insensitive engine
-// (its reaching sets stay over-approximate, never under), and a
-// fixpoint that exceeds its iteration budget does the same. The depth
-// and fan caps of dataflow.go apply unchanged when the reaching
-// definitions are traced to leaves.
+// The entry block defines every variable live on entry (parameters,
+// receivers, named results, closure captures), so a parameter
+// reassigned on one branch keeps its caller-supplied origin at the
+// join. A function containing goto, or a fixpoint that exhausts its
+// iteration budget, bails out to one conservative environment shared
+// by every use: the union of the entry definitions and every
+// definition in the function, built with the same transfer functions.
+// The depth and fan caps of dataflow.go apply unchanged when the
+// reaching definitions are traced to leaves.
 
 // A cfgBlock is one basic block: nodes execute in order, then control
 // transfers along succs. When cond is non-nil the block ends in a
@@ -53,8 +54,9 @@ type funcCFG struct {
 	// dominator.
 	idom map[*cfgBlock]*cfgBlock
 	// hasGoto marks a function using goto: edge structure for gotos is
-	// recorded, but flow-sensitive consumers must fall back (a goto into
-	// a loop body can bypass the reaching-definition bookkeeping).
+	// recorded, but the dataflow engine bails out to its union
+	// environment (a goto into a loop body can bypass the
+	// reaching-definition bookkeeping).
 	hasGoto bool
 }
 
@@ -541,15 +543,13 @@ func nodeText(fset *token.FileSet, n ast.Node) string {
 	return strings.Join(fields, " ")
 }
 
-// --- flow-sensitive reaching definitions -------------------------------
+// --- reaching definitions ---------------------------------------------
 //
 // originEnv maps each local variable to the definition expressions that
 // reach a program point. Tracing an identifier under an env follows
-// only these reaching definitions (dataflow.go's trace consults the
-// env before the flow-insensitive assignment graph). A variable's own
-// declaration identifier is the marker for "declared without
-// initializer": its value is the type's zero value, which traces as an
-// anonymous literal.
+// only these reaching definitions. An identifier at the variable's own
+// declaration is its self-marker: the value live on entry, or the zero
+// value of `var x T` (see funcFlow.entryOrigin).
 type originEnv map[*types.Var][]ast.Expr
 
 // cfgSite locates one recorded node inside the graph.
@@ -559,43 +559,22 @@ type cfgSite struct {
 }
 
 // envBudgetPerBlock bounds fixpoint iterations; an exhausted budget
-// degrades the whole function to the flow-insensitive engine.
+// bails the whole function out to the union environment.
 const envBudgetPerBlock = 40
 
-// ensureFlowSensitive builds the CFG and solves the reaching-definition
-// fixpoint once per funcFlow. On any structural bailout (no body, goto,
-// budget exhaustion) sensitive stays false and originsOf falls back to
-// the flow-insensitive assignment graph.
-func (f *funcFlow) ensureFlowSensitive() {
-	if f.built {
-		return
-	}
-	f.built = true
-	if f.body == nil {
-		return
-	}
-	f.cfg = buildCFG(f.body)
-	if f.cfg.hasGoto {
-		return
-	}
-	if !f.solveEnvs() {
-		f.cfg = nil
-		return
-	}
-	f.sensitive = true
-}
-
-// solveEnvs runs the worklist fixpoint: in-environments per block,
-// joined over predecessors, transferred through the block's nodes.
-// Reaching-definition sets only grow (union joins over a finite
-// universe of assignment expressions), so the fixpoint terminates; the
-// budget is a belt-and-braces bound for pathological graphs.
-func (f *funcFlow) solveEnvs() bool {
-	n := len(f.cfg.blocks)
+// solveEnvs runs the worklist fixpoint over c: in-environments per
+// block, seeded with the entry definitions, joined over predecessors,
+// transferred through the block's nodes. Reaching-definition sets only
+// grow (union joins over a finite universe of definition expressions),
+// so the fixpoint terminates; the budget is a belt-and-braces bound for
+// pathological graphs. It reports false when the budget runs out.
+func (f *funcFlow) solveEnvs(c *funcCFG) bool {
+	n := len(c.blocks)
 	f.envIn = make([]originEnv, n)
 	for i := range f.envIn {
 		f.envIn[i] = originEnv{}
 	}
+	joinEnv(f.envIn[c.entry.index], f.entry)
 	budget := envBudgetPerBlock*n + 256
 	queued := make([]bool, n)
 	var queue []*cfgBlock
@@ -605,7 +584,7 @@ func (f *funcFlow) solveEnvs() bool {
 			queue = append(queue, b)
 		}
 	}
-	for _, b := range f.cfg.rpo {
+	for _, b := range c.rpo {
 		push(b)
 	}
 	for len(queue) > 0 {
@@ -626,6 +605,20 @@ func (f *funcFlow) solveEnvs() bool {
 		}
 	}
 	return true
+}
+
+// unionEnv is the bailout environment: the entry definitions joined
+// with every definition any node of c makes.
+func (f *funcFlow) unionEnv(c *funcCFG) originEnv {
+	union := cloneEnv(f.entry)
+	for _, b := range c.blocks {
+		for _, node := range b.nodes {
+			defs := originEnv{}
+			f.transferNode(node, defs)
+			joinEnv(union, defs)
+		}
+	}
+	return union
 }
 
 // cloneEnv copies the map; the definition slices are copy-on-write
@@ -678,6 +671,8 @@ func (f *funcFlow) transferNode(n ast.Node, env originEnv) {
 			}
 		}
 	case *ast.RangeStmt:
+		// Range bindings inherit the origins of the ranged collection:
+		// the element of a seed slice is still a seed.
 		for _, lhs := range []ast.Expr{n.Key, n.Value} {
 			if id, ok := lhs.(*ast.Ident); ok && id.Name != "_" {
 				if v := f.lhsVar(id); v != nil {
@@ -746,17 +741,21 @@ func (f *funcFlow) transferValueSpec(vs *ast.ValueSpec, env originEnv) {
 
 // envAt reconstructs the environment just before the innermost CFG
 // node containing e: the block's in-environment plus the transfers of
-// the nodes preceding that node within the block.
-func (f *funcFlow) envAt(e ast.Expr) (originEnv, bool) {
+// the nodes preceding that node within the block. After a bailout, and
+// for an expression outside every node, it is the union environment.
+func (f *funcFlow) envAt(e ast.Expr) originEnv {
+	if f.cfg == nil {
+		return f.union
+	}
 	site, ok := f.siteOf(e)
 	if !ok {
-		return nil, false
+		return f.unionEnv(f.cfg)
 	}
 	env := cloneEnv(f.envIn[site.block.index])
 	for i := 0; i < site.index; i++ {
 		f.transferNode(site.block.nodes[i], env)
 	}
-	return env, true
+	return env
 }
 
 // siteOf locates the innermost recorded node whose span contains e.
@@ -780,10 +779,9 @@ func (f *funcFlow) siteOf(e ast.Expr) (cfgSite, bool) {
 }
 
 // factsFor returns the branch facts that hold at e's program point, or
-// nil when the function is not flow-sensitively analyzable.
+// nil after a bailout.
 func (f *funcFlow) factsFor(e ast.Expr) []branchFact {
-	f.ensureFlowSensitive()
-	if !f.sensitive {
+	if f.cfg == nil {
 		return nil
 	}
 	site, ok := f.siteOf(e)
@@ -793,36 +791,42 @@ func (f *funcFlow) factsFor(e ast.Expr) []branchFact {
 	return f.cfg.factsAt(site.block)
 }
 
-// renderEnvs dumps every block's in-environment deterministically
-// (used by the idempotence test: re-solving must reproduce this).
+// renderEnvs dumps every block's in-environment deterministically, or
+// the one union environment after a bailout (used by the idempotence
+// test: re-solving must reproduce this).
 func (f *funcFlow) renderEnvs(fset *token.FileSet) string {
-	f.ensureFlowSensitive()
-	if !f.sensitive {
-		return "<flow-insensitive>"
+	if f.cfg == nil {
+		return renderEnv(fset, "union", f.union)
 	}
 	var sb strings.Builder
 	for _, b := range f.cfg.blocks {
-		env := f.envIn[b.index]
-		var keys []*types.Var
-		for v := range env {
-			keys = append(keys, v)
-		}
-		// Deterministic order: by declaration position, then name.
-		for i := 1; i < len(keys); i++ {
-			for j := i; j > 0 && (keys[j-1].Pos() > keys[j].Pos() ||
-				(keys[j-1].Pos() == keys[j].Pos() && keys[j-1].Name() > keys[j].Name())); j-- {
-				keys[j-1], keys[j] = keys[j], keys[j-1]
-			}
-		}
-		fmt.Fprintf(&sb, "b%d:", b.index)
-		for _, v := range keys {
-			var defs []string
-			for _, d := range env[v] {
-				defs = append(defs, nodeText(fset, d))
-			}
-			fmt.Fprintf(&sb, " %s=[%s]", v.Name(), strings.Join(defs, ", "))
-		}
-		sb.WriteString("\n")
+		sb.WriteString(renderEnv(fset, fmt.Sprintf("b%d", b.index), f.envIn[b.index]))
 	}
+	return sb.String()
+}
+
+// renderEnv renders one environment as a labeled line, variables in
+// declaration order.
+func renderEnv(fset *token.FileSet, label string, env originEnv) string {
+	keys := make([]*types.Var, 0, len(env))
+	for v := range env {
+		keys = append(keys, v)
+	}
+	sort.Slice(keys, func(i, j int) bool {
+		if keys[i].Pos() != keys[j].Pos() {
+			return keys[i].Pos() < keys[j].Pos()
+		}
+		return keys[i].Name() < keys[j].Name()
+	})
+	var sb strings.Builder
+	sb.WriteString(label + ":")
+	for _, v := range keys {
+		var defs []string
+		for _, d := range env[v] {
+			defs = append(defs, nodeText(fset, d))
+		}
+		fmt.Fprintf(&sb, " %s=[%s]", v.Name(), strings.Join(defs, ", "))
+	}
+	sb.WriteString("\n")
 	return sb.String()
 }

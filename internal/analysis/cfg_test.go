@@ -5,6 +5,7 @@ import (
 	"go/token"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -78,10 +79,6 @@ func TestEnvIdempotence(t *testing.T) {
 	for _, fd := range fixtureFuncs(pkg) {
 		first := newFuncFlow(pkg.Info, fd)
 		r1 := first.renderEnvs(pkg.Fset)
-		if r1 == "<flow-insensitive>" {
-			t.Errorf("%s: expected flow-sensitive analysis, got fallback", fd.Name.Name)
-			continue
-		}
 		if again := first.renderEnvs(pkg.Fset); again != r1 {
 			t.Errorf("%s: re-rendering the same flow changed the environments:\n%s\nvs\n%s",
 				fd.Name.Name, r1, again)
@@ -109,40 +106,45 @@ func originNames(origins []Origin) []string {
 	return names
 }
 
-// TestBranchSplitEnvs is the direct form of the seedtaint branch-split
-// regression: a use inside one arm sees only that arm's definition,
-// while the post-join use sees both.
-func TestBranchSplitEnvs(t *testing.T) {
-	pkg := loadCFGFixture(t)
-	var split *ast.FuncDecl
+// fixtureFunc returns the named function of the cfg fixture.
+func fixtureFunc(t *testing.T, pkg *Package, name string) *ast.FuncDecl {
+	t.Helper()
 	for _, fd := range fixtureFuncs(pkg) {
-		if fd.Name.Name == "split" {
-			split = fd
+		if fd.Name.Name == name {
+			return fd
 		}
 	}
-	if split == nil {
-		t.Fatal("fixture function split not found")
-	}
+	t.Fatalf("fixture function %s not found", name)
+	return nil
+}
+
+// returnedOrigins returns the origin names of the first result of fn's
+// final return statement.
+func returnedOrigins(pkg *Package, fd *ast.FuncDecl) []string {
+	ret := fd.Body.List[len(fd.Body.List)-1].(*ast.ReturnStmt)
+	return originNames(newFuncFlow(pkg.Info, fd).originsOf(ret.Results[0]))
+}
+
+// TestBranchSplitEnvs is the direct form of the seedtaint branch-split
+// regression: a use inside one arm sees only that arm's definition,
+// while the post-join use sees both — including a parameter's
+// caller-supplied value when only one arm reassigns it.
+func TestBranchSplitEnvs(t *testing.T) {
+	pkg := loadCFGFixture(t)
+	split := fixtureFunc(t, pkg, "split")
 	flow := newFuncFlow(pkg.Info, split)
 
 	// The use of x inside the branch: the x in `y = x + 1`.
 	var inBranch ast.Expr
-	// The use of x at the join: the first result of `return x, y`.
-	var atJoin ast.Expr
 	ast.Inspect(split.Body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.AssignStmt:
-			if n.Tok == token.ASSIGN && len(n.Lhs) == 1 {
-				if id, ok := n.Lhs[0].(*ast.Ident); ok && id.Name == "y" {
-					inBranch = n.Rhs[0].(*ast.BinaryExpr).X
-				}
+		if as, ok := n.(*ast.AssignStmt); ok && as.Tok == token.ASSIGN && len(as.Lhs) == 1 {
+			if id, ok := as.Lhs[0].(*ast.Ident); ok && id.Name == "y" {
+				inBranch = as.Rhs[0].(*ast.BinaryExpr).X
 			}
-		case *ast.ReturnStmt:
-			atJoin = n.Results[0]
 		}
 		return true
 	})
-	if inBranch == nil || atJoin == nil {
+	if inBranch == nil {
 		t.Fatal("fixture shapes not found in split")
 	}
 
@@ -150,8 +152,24 @@ func TestBranchSplitEnvs(t *testing.T) {
 	if len(got) != 1 || got[0] != "q" {
 		t.Errorf("in-branch use of x: origins = %v, want exactly [q]", got)
 	}
-	got = originNames(flow.originsOf(atJoin))
-	if len(got) != 2 || got[0] != "p" || got[1] != "q" {
+	if got := returnedOrigins(pkg, split); !reflect.DeepEqual(got, []string{"p", "q"}) {
 		t.Errorf("join use of x: origins = %v, want [p q]", got)
+	}
+	if got := returnedOrigins(pkg, fixtureFunc(t, pkg, "reparam")); !reflect.DeepEqual(got, []string{"p", "q"}) {
+		t.Errorf("join use of a parameter reassigned on one arm: origins = %v, want [p q]", got)
+	}
+}
+
+// TestGotoBailoutUnion covers the conservative fallback: a function
+// with goto gets one environment for every use, the union of the entry
+// definitions and every definition in the function.
+func TestGotoBailoutUnion(t *testing.T) {
+	pkg := loadCFGFixture(t)
+	jumpy := fixtureFunc(t, pkg, "jumpy")
+	if flow := newFuncFlow(pkg.Info, jumpy); flow.cfg != nil {
+		t.Fatal("a function with goto must bail out of the flow-sensitive solution")
+	}
+	if got := returnedOrigins(pkg, jumpy); !reflect.DeepEqual(got, []string{"p", "q"}) {
+		t.Errorf("use of a parameter reassigned under goto: origins = %v, want the union [p q]", got)
 	}
 }

@@ -41,35 +41,12 @@ import (
 // unconditionally — a backwards clock is never right. Escape hatch:
 // //spawnvet:allow clockstep <justification>.
 func ClockStepAnalyzer() *Analyzer {
-	st := &clockstepState{}
 	return &Analyzer{
 		Name:      "clockstep",
 		Doc:       "Cycle-typed state must derive from the engine clock, and the clock itself may only advance",
 		AppliesTo: pathWithin("internal/sim"),
-		Run:       st.collect,
-		Finish:    st.finish,
-		Reset:     func() { st.graph = nil; st.deferred = nil },
+		Finish:    finishClockStep,
 	}
-}
-
-// clockDeferred is one rule-1/3/4 finding held back until reachability
-// from the run root is known; text receives the discovery call chain.
-type clockDeferred struct {
-	pos  token.Pos
-	text func(chain string) string
-}
-
-type clockstepState struct {
-	graph    *callGraph
-	deferred map[*types.Func][]clockDeferred
-}
-
-func (st *clockstepState) ensure() *callGraph {
-	if st.graph == nil {
-		st.graph = newCallGraph()
-		st.deferred = map[*types.Func][]clockDeferred{}
-	}
-	return st.graph
 }
 
 // isCycleType reports whether t is (an alias-free view of) a named type
@@ -156,7 +133,8 @@ func zeroLiteralOrigin(info *types.Info, o Origin) bool {
 	}
 	switch e := o.Expr.(type) {
 	case *ast.Ident:
-		// The self-marker the flow-sensitive layer emits for `var x T`.
+		// The self-marker the dataflow engine emits for `var x T` and
+		// named results.
 		return true
 	case *ast.BasicLit:
 		tv, ok := info.Types[e]
@@ -165,72 +143,94 @@ func zeroLiteralOrigin(info *types.Info, o Origin) bool {
 	return false
 }
 
-// collect runs per package: it summarizes call edges for the
-// reachability walk, reports rule-2 violations immediately, and defers
-// rule-1/3/4 findings until finish gates them on run-reachability.
-func (st *clockstepState) collect(pass *Pass) {
-	g := st.ensure()
-	info := pass.Pkg.Info
-	flows := newFlowCache(info)
-	for _, f := range pass.Pkg.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			obj, ok := info.Defs[fd.Name].(*types.Func)
-			if !ok {
-				continue
-			}
-			sum := &funcSummary{obj: obj, decl: fd, pkg: pass.Pkg,
-				calleePos: map[*types.Func]token.Pos{}}
-			st.scanBody(pass, flows, fd, obj, sum)
-			g.add(sum)
+// finishClockStep checks rule 2 in every in-scope function, then walks
+// the shared call graph from the run root and checks rules 1, 3, and 4
+// in every function it reaches. Functions outside the analyzer's
+// AppliesTo scope neither report nor carry the walk.
+func finishClockStep(pass *Pass) {
+	if pass.Pkg == nil {
+		return
+	}
+	inScope := pass.Analyzer.AppliesTo
+	outOfScope := func(sum *funcSummary) bool { return inScope != nil && !inScope(sum.pkg.Path) }
+	g := pass.callGraph()
+	for _, fn := range g.order {
+		if sum := g.sums[fn]; !outOfScope(sum) {
+			checkClockStores(pass, sum)
 		}
 	}
+	g.walkFrom(g.roots(clockRoot), outOfScope,
+		func(sum *funcSummary, chain []string) {
+			c := clockCheck{pass: pass, info: sum.pkg.Info, flows: sum.flows, chain: chainText(chain)}
+			walkStack(sum.decl, c.check)
+		},
+		func(sum *funcSummary, pos token.Pos, chain []string) {
+			pass.Reportf(pos,
+				"call chain from the run root exceeds the clockstep depth cap (%d) inside %s; deeper callees are unverified (chain: %s)",
+				callGraphDepthCap, sum.displayName(), chainText(chain))
+		})
 }
 
-func (st *clockstepState) scanBody(pass *Pass, flows *flowCache, fd *ast.FuncDecl, obj *types.Func, sum *funcSummary) {
-	info := pass.Pkg.Info
-	walkStack(fd, func(n ast.Node, stack []ast.Node) {
+// checkClockStores enforces rule 2 on every store to the engine clock
+// in one function, reachable or not.
+func checkClockStores(pass *Pass, sum *funcSummary) {
+	info := sum.pkg.Info
+	walkStack(sum.decl, func(n ast.Node, stack []ast.Node) {
 		switch n := n.(type) {
-		case *ast.CallExpr:
-			if fn, ok := calleeObject(info, n).(*types.Func); ok {
-				sum.addCallee(fn, n.Pos())
-				st.checkTimestampArgs(info, flows, stack, obj, n, fn)
-			}
 		case *ast.AssignStmt:
-			st.checkAssign(pass, info, flows, stack, obj, n)
+			for i, lhs := range n.Lhs {
+				if clockFieldSel(info, lhs) != nil {
+					checkClockStore(pass, info, sum.flows.at(stack), n, lhs, assignRHS(n, i))
+				}
+			}
 		case *ast.IncDecStmt:
-			if field := clockFieldSel(info, n.X); field != nil && n.Tok == token.DEC {
+			if clockFieldSel(info, n.X) != nil && n.Tok == token.DEC {
 				pass.Reportf(n.Pos(), "engine clock %s is decremented; simulated time may only advance", exprText(n.X))
 			}
-		case *ast.BinaryExpr:
-			st.checkStaleComparison(info, flows, stack, obj, n)
 		}
 	})
 }
 
-func (st *clockstepState) checkAssign(pass *Pass, info *types.Info, flows *flowCache, stack []ast.Node, obj *types.Func, as *ast.AssignStmt) {
-	for i, lhs := range as.Lhs {
-		var rhs ast.Expr
-		switch {
-		case len(as.Lhs) == len(as.Rhs):
-			rhs = as.Rhs[i]
-		case len(as.Rhs) == 1:
-			rhs = as.Rhs[0]
+// assignRHS returns the value flowing into the i-th target of as: the
+// paired expression, or the single tuple-valued call.
+func assignRHS(as *ast.AssignStmt, i int) ast.Expr {
+	switch {
+	case len(as.Lhs) == len(as.Rhs):
+		return as.Rhs[i]
+	case len(as.Rhs) == 1:
+		return as.Rhs[0]
+	}
+	return nil
+}
+
+// clockCheck carries one run-reachable function's rule-1/3/4 context:
+// its dataflow cache and the call chain that reached it.
+type clockCheck struct {
+	pass  *Pass
+	info  *types.Info
+	flows *flowCache
+	chain string
+}
+
+func (c clockCheck) check(n ast.Node, stack []ast.Node) {
+	switch n := n.(type) {
+	case *ast.CallExpr:
+		if fn, ok := calleeObject(c.info, n).(*types.Func); ok {
+			c.checkTimestampArgs(stack, n, fn)
 		}
-		if clockFieldSel(info, lhs) != nil {
-			st.checkClockStore(pass, info, flows, stack, as, lhs, rhs)
-			continue
+	case *ast.AssignStmt:
+		for i, lhs := range n.Lhs {
+			if clockFieldSel(c.info, lhs) == nil {
+				c.checkCycleStore(stack, n, lhs, assignRHS(n, i))
+			}
 		}
-		st.checkCycleStore(info, flows, stack, obj, as, lhs, rhs)
+	case *ast.BinaryExpr:
+		c.checkStaleComparison(stack, n)
 	}
 }
 
 // checkClockStore enforces rule 2 on one store to the engine clock.
-func (st *clockstepState) checkClockStore(pass *Pass, info *types.Info, flows *flowCache, stack []ast.Node, as *ast.AssignStmt, lhs, rhs ast.Expr) {
-	flow := flows.at(stack)
+func checkClockStore(pass *Pass, info *types.Info, flow *funcFlow, as *ast.AssignStmt, lhs, rhs ast.Expr) {
 	if flow == nil || rhs == nil {
 		return
 	}
@@ -240,7 +240,7 @@ func (st *clockstepState) checkClockStore(pass *Pass, info *types.Info, flows *f
 			return
 		}
 	case token.ASSIGN:
-		if st.monotoneClockRHS(info, flow, rhs) {
+		if monotoneClockRHS(info, flow, rhs) {
 			return
 		}
 	default:
@@ -257,7 +257,7 @@ func (st *clockstepState) checkClockStore(pass *Pass, info *types.Info, flows *f
 // or an identifier pinned > / >= a clock-derived value by a dominating
 // branch (the fast-forward skip shape: if next <= now {...} else
 // { clock = next }).
-func (st *clockstepState) monotoneClockRHS(info *types.Info, flow *funcFlow, rhs ast.Expr) bool {
+func monotoneClockRHS(info *types.Info, flow *funcFlow, rhs ast.Expr) bool {
 	rhs = ast.Unparen(rhs)
 	if bin, ok := rhs.(*ast.BinaryExpr); ok && bin.Op == token.ADD {
 		if nonNegConst(info, bin.Y) && clockDerivedExpr(flow, bin.X) {
@@ -279,7 +279,7 @@ func (st *clockstepState) monotoneClockRHS(info *types.Info, flow *funcFlow, rhs
 		return false
 	}
 	for _, fact := range flow.factsFor(rhs) {
-		if st.factProvesAtLeastClock(info, flow, fact, rv) {
+		if factProvesAtLeastClock(info, flow, fact, rv) {
 			return true
 		}
 	}
@@ -288,7 +288,7 @@ func (st *clockstepState) monotoneClockRHS(info *types.Info, flow *funcFlow, rhs
 
 // factProvesAtLeastClock reports whether one dominating branch fact
 // pins variable rv to be > or >= a clock-derived value.
-func (st *clockstepState) factProvesAtLeastClock(info *types.Info, flow *funcFlow, fact branchFact, rv *types.Var) bool {
+func factProvesAtLeastClock(info *types.Info, flow *funcFlow, fact branchFact, rv *types.Var) bool {
 	cond, ok := ast.Unparen(fact.cond).(*ast.BinaryExpr)
 	if !ok {
 		return false
@@ -326,20 +326,20 @@ func (st *clockstepState) factProvesAtLeastClock(info *types.Info, flow *funcFlo
 // checkCycleStore enforces rule 1 on a store to Cycle-typed state that
 // is not the clock field itself. Only wrapped targets (fields, slice
 // and map elements) are audited: plain locals are scratch.
-func (st *clockstepState) checkCycleStore(info *types.Info, flows *flowCache, stack []ast.Node, obj *types.Func, as *ast.AssignStmt, lhs, rhs ast.Expr) {
+func (c clockCheck) checkCycleStore(stack []ast.Node, as *ast.AssignStmt, lhs, rhs ast.Expr) {
 	if as.Tok != token.ASSIGN || rhs == nil {
 		// Compound assignments read the target first: the old cycle value
 		// is itself a clock-bearing origin.
 		return
 	}
-	tv, ok := info.Types[lhs]
+	tv, ok := c.info.Types[lhs]
 	if !ok || !isCycleType(tv.Type) {
 		return
 	}
 	if _, _, wrapped := writeBase(lhs); !wrapped {
 		return
 	}
-	flow := flows.at(stack)
+	flow := c.flows.at(stack)
 	if flow == nil {
 		return
 	}
@@ -347,11 +347,9 @@ func (st *clockstepState) checkCycleStore(info *types.Info, flows *flowCache, st
 	target := exprText(lhs)
 	for _, o := range origins {
 		if ambientEntropy(o) {
-			what := exprText(o.Expr)
-			st.defer_(obj, lhs.Pos(), func(chain string) string {
-				return "wall-clock entropy from " + what + " flows into Cycle-typed " + target +
-					" (call chain: " + chain + "); simulation time must derive from the engine clock, never the host clock"
-			})
+			c.pass.Reportf(lhs.Pos(),
+				"wall-clock entropy from %s flows into Cycle-typed %s (call chain: %s); simulation time must derive from the engine clock, never the host clock",
+				exprText(o.Expr), target, c.chain)
 			return
 		}
 	}
@@ -367,7 +365,7 @@ func (st *clockstepState) checkCycleStore(info *types.Info, flows *flowCache, st
 				// Named constant: a declared, reviewable epoch.
 				hasClockBearing = true
 				allZero = false
-			} else if !zeroLiteralOrigin(info, o) {
+			} else if !zeroLiteralOrigin(c.info, o) {
 				allZero = false
 			}
 		default:
@@ -377,20 +375,19 @@ func (st *clockstepState) checkCycleStore(info *types.Info, flows *flowCache, st
 	if hasClockBearing || allZero {
 		return
 	}
-	st.defer_(obj, lhs.Pos(), func(chain string) string {
-		return "store to Cycle-typed " + target + " cannot be traced to a clock-bearing source (call chain: " + chain +
-			"); derive it from a now/cycle parameter, the clock, or a boundary call — zero resets are exempt"
-	})
+	c.pass.Reportf(lhs.Pos(),
+		"store to Cycle-typed %s cannot be traced to a clock-bearing source (call chain: %s); derive it from a now/cycle parameter, the clock, or a boundary call — zero resets are exempt",
+		target, c.chain)
 }
 
 // checkTimestampArgs enforces rule 3: a literal passed where the callee
 // declares a Cycle-typed parameter named now or cycle.
-func (st *clockstepState) checkTimestampArgs(info *types.Info, flows *flowCache, stack []ast.Node, obj *types.Func, call *ast.CallExpr, fn *types.Func) {
+func (c clockCheck) checkTimestampArgs(stack []ast.Node, call *ast.CallExpr, fn *types.Func) {
 	sig, ok := fn.Type().(*types.Signature)
 	if !ok {
 		return
 	}
-	flow := flows.at(stack)
+	flow := c.flows.at(stack)
 	if flow == nil {
 		return
 	}
@@ -421,24 +418,22 @@ func (st *clockstepState) checkTimestampArgs(info *types.Info, flows *flowCache,
 		if !fabricated {
 			continue
 		}
-		argText, pName, callee := exprText(arg), p.Name(), fn.Name()
-		st.defer_(obj, arg.Pos(), func(chain string) string {
-			return "fabricated timestamp: literal " + argText + " passed as the " + pName + " parameter of " + callee +
-				" (call chain: " + chain + "); thread the caller's clock through instead of stamping a constant"
-		})
+		c.pass.Reportf(arg.Pos(),
+			"fabricated timestamp: literal %s passed as the %s parameter of %s (call chain: %s); thread the caller's clock through instead of stamping a constant",
+			exprText(arg), p.Name(), fn.Name(), c.chain)
 	}
 }
 
 // checkStaleComparison enforces rule 4: a Cycle comparison inside a
 // loop against a clock snapshot captured before the loop, while the
 // loop advances the clock.
-func (st *clockstepState) checkStaleComparison(info *types.Info, flows *flowCache, stack []ast.Node, obj *types.Func, bin *ast.BinaryExpr) {
+func (c clockCheck) checkStaleComparison(stack []ast.Node, bin *ast.BinaryExpr) {
 	switch bin.Op {
 	case token.LSS, token.LEQ, token.GTR, token.GEQ:
 	default:
 		return
 	}
-	if tv, ok := info.Types[bin.X]; !ok || !isCycleType(tv.Type) {
+	if tv, ok := c.info.Types[bin.X]; !ok || !isCycleType(tv.Type) {
 		return
 	}
 	// Innermost enclosing loop, without crossing into an enclosing
@@ -455,7 +450,7 @@ func (st *clockstepState) checkStaleComparison(info *types.Info, flows *flowCach
 	if loop == nil {
 		return
 	}
-	flow := flows.at(stack)
+	flow := c.flows.at(stack)
 	if flow == nil {
 		return
 	}
@@ -467,14 +462,12 @@ func (st *clockstepState) checkStaleComparison(info *types.Info, flows *flowCach
 			if o.Expr.Pos() >= loop.Pos() {
 				continue // snapshot refreshed inside the loop
 			}
-			if !writesField(info, loop, o.Obj) {
+			if !writesField(c.info, loop, o.Obj) {
 				continue // clock does not move during this loop
 			}
-			opText := exprText(operand)
-			st.defer_(obj, operand.Pos(), func(chain string) string {
-				return "comparison uses " + opText + ", a clock snapshot captured before the enclosing loop, but the loop advances the clock (call chain: " + chain +
-					"); re-read the clock each iteration"
-			})
+			c.pass.Reportf(operand.Pos(),
+				"comparison uses %s, a clock snapshot captured before the enclosing loop, but the loop advances the clock (call chain: %s); re-read the clock each iteration",
+				exprText(operand), c.chain)
 			return
 		}
 	}
@@ -509,38 +502,8 @@ func writesField(info *types.Info, n ast.Node, field types.Object) bool {
 	return found
 }
 
-func (st *clockstepState) defer_(obj *types.Func, pos token.Pos, text func(chain string) string) {
-	st.deferred[obj] = append(st.deferred[obj], clockDeferred{pos: pos, text: text})
-}
-
 // clockRoot reports whether a summary is the run root: the method Run
 // on a receiver type named GPU.
 func clockRoot(s *funcSummary) bool {
 	return s.decl.Recv != nil && s.obj.Name() == "Run" && recvTypeName(s.decl) == "GPU"
-}
-
-// finish closes the call graph over the run roots and emits the
-// deferred rule-1/3/4 findings of every reachable function.
-func (st *clockstepState) finish(pass *Pass) {
-	if pass.Pkg == nil {
-		return
-	}
-	g := st.ensure()
-	var roots []*types.Func
-	for _, fn := range g.order {
-		if clockRoot(g.sums[fn]) {
-			roots = append(roots, fn)
-		}
-	}
-	g.walkFrom(roots,
-		func(sum *funcSummary, chain []string) {
-			for _, d := range st.deferred[sum.obj] {
-				pass.Reportf(d.pos, "%s", d.text(chainText(chain)))
-			}
-		},
-		func(sum *funcSummary, pos token.Pos, chain []string) {
-			pass.Reportf(pos,
-				"call chain from the run root exceeds the clockstep depth cap (%d) inside %s; deeper callees are unverified (chain: %s)",
-				callGraphDepthCap, sum.displayName(), chainText(chain))
-		})
 }

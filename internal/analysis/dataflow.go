@@ -6,14 +6,14 @@ import (
 	"go/types"
 )
 
-// This file is the intraprocedural dataflow engine the provenance
-// analyzers (seedtaint, units) build on: value-origin tracking over
-// go/types. For an expression inside one function it answers "which
-// leaf sources can flow into this value?" by chasing local-variable
-// assignments backwards, looking through parentheses, arithmetic, and
-// type conversions. The engine is deliberately flow-insensitive (every
-// assignment to a variable contributes origins, regardless of branch
-// order) and intraprocedural (calls are opaque leaves): that
+// This file is the intraprocedural dataflow engine every provenance
+// analyzer builds on (seedtaint, units, purity, clockstep, skipsafe):
+// value-origin tracking over go/types. For an expression inside one
+// function it answers "which leaf sources can flow into this value?"
+// by chasing the local definitions that reach the expression's program
+// point backwards (the reaching-definitions fixpoint lives in cfg.go),
+// looking through parentheses, arithmetic, and type conversions. The
+// engine is intraprocedural (calls are opaque leaves) and
 // over-approximates the true origin set, which is the safe direction
 // for taint-style checks.
 
@@ -73,93 +73,114 @@ const (
 	originFanCap   = 64
 )
 
-// funcFlow holds the assignment graph of one function body, plus the
-// lazily built flow-sensitive layer (cfg.go) that narrows queries to
-// the definitions actually reaching each program point.
+// funcFlow is the dataflow scope of one function body: its entry
+// definitions and the reaching-definition environments cfg.go solves
+// over its control-flow graph.
 type funcFlow struct {
 	info *types.Info
-	// assigns maps each local variable to every expression assigned to
-	// it anywhere in the function (flow-insensitive fallback).
-	assigns map[*types.Var][]ast.Expr
+	// fn is the *ast.FuncDecl or *ast.FuncLit, nil for the package-level
+	// pseudo-scope (var initializers).
+	fn ast.Node
 	// params marks parameters and receivers.
 	params map[*types.Var]bool
+	// entry defines every variable live on entry (see entryEnv).
+	entry originEnv
 
-	// body is the function body the CFG is built from (nil for the
-	// package-level pseudo-scope).
-	body *ast.BlockStmt
-	// built/sensitive/cfg/envIn are the flow-sensitive layer, populated
-	// by ensureFlowSensitive (cfg.go). When sensitive is false, queries
-	// use the flow-insensitive assignment graph above.
-	built     bool
-	sensitive bool
-	cfg       *funcCFG
-	envIn     []originEnv
+	// cfg and envIn are the flow-sensitive solution: the graph and each
+	// block's in-environment. cfg is nil after a bailout (goto, exhausted
+	// fixpoint budget) and at package level; every use then sees union.
+	cfg   *funcCFG
+	envIn []originEnv
+	union originEnv
 }
 
-// newFuncFlow builds the assignment graph for fn, which must be an
-// *ast.FuncDecl or *ast.FuncLit.
+// newFuncFlow builds the dataflow scope of fn, which must be an
+// *ast.FuncDecl or *ast.FuncLit (nil gives the package-level scope).
 func newFuncFlow(info *types.Info, fn ast.Node) *funcFlow {
-	f := &funcFlow{
-		info:    info,
-		assigns: map[*types.Var][]ast.Expr{},
-		params:  map[*types.Var]bool{},
-	}
+	f := &funcFlow{info: info, fn: fn, params: map[*types.Var]bool{}, union: originEnv{}}
+	var recv *ast.FieldList
 	var ftype *ast.FuncType
 	var body *ast.BlockStmt
 	switch n := fn.(type) {
 	case *ast.FuncDecl:
-		ftype, body = n.Type, n.Body
-		if n.Recv != nil {
-			f.addParams(n.Recv)
-		}
+		recv, ftype, body = n.Recv, n.Type, n.Body
 	case *ast.FuncLit:
 		ftype, body = n.Type, n.Body
 	default:
 		return f
 	}
-	f.addParams(ftype.Params)
+	f.entry = f.entryEnv(recv, ftype, body)
 	if body == nil {
+		f.union = f.entry
 		return f
 	}
-	f.body = body
-	ast.Inspect(body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.FuncLit:
-			// Nested function literals have their own flow scope.
-			return false
-		case *ast.AssignStmt:
-			f.recordAssign(n)
-		case *ast.GenDecl:
-			if n.Tok == token.VAR {
-				for _, spec := range n.Specs {
-					if vs, ok := spec.(*ast.ValueSpec); ok {
-						f.recordValueSpec(vs)
-					}
-				}
-			}
-		case *ast.RangeStmt:
-			// Range bindings inherit the origins of the ranged
-			// collection: the element of a seed slice is still a seed.
-			for _, lhs := range []ast.Expr{n.Key, n.Value} {
-				if id, ok := lhs.(*ast.Ident); ok && id.Name != "_" {
-					if v := f.lhsVar(id); v != nil {
-						f.assigns[v] = append(f.assigns[v], n.X)
-					}
-				}
-			}
-		}
-		return true
-	})
+	c := buildCFG(body)
+	if !c.hasGoto && f.solveEnvs(c) {
+		f.cfg = c
+		return f
+	}
+	f.union = f.unionEnv(c)
 	return f
 }
 
-func (f *funcFlow) addParams(fields *ast.FieldList) {
-	for _, field := range fields.List {
-		for _, name := range field.Names {
-			if v, ok := f.info.Defs[name].(*types.Var); ok {
-				f.params[v] = true
+// entryEnv defines every variable live on entry with its self-marker
+// (an identifier at the variable's declaration, see entryOrigin):
+// receivers and parameters carry the caller's value, named results
+// their zero value, and the variables a function literal captures
+// whatever the enclosing scope holds.
+func (f *funcFlow) entryEnv(recv *ast.FieldList, ftype *ast.FuncType, body *ast.BlockStmt) originEnv {
+	env := originEnv{}
+	for _, fields := range []*ast.FieldList{recv, ftype.Params, ftype.Results} {
+		if fields == nil {
+			continue
+		}
+		for _, field := range fields.List {
+			for _, name := range field.Names {
+				v, ok := f.info.Defs[name].(*types.Var)
+				if !ok || name.Name == "_" {
+					continue
+				}
+				env[v] = []ast.Expr{name}
+				if fields != ftype.Results {
+					f.params[v] = true
+				}
 			}
 		}
+	}
+	if _, isLit := f.fn.(*ast.FuncLit); !isLit || body == nil {
+		return env
+	}
+	ast.Inspect(body, func(n ast.Node) bool {
+		id, ok := n.(*ast.Ident)
+		if !ok {
+			return true
+		}
+		v, ok := f.info.Uses[id].(*types.Var)
+		if ok && !v.IsField() && !isPackageLevel(v) && f.captures(v) && env[v] == nil {
+			env[v] = []ast.Expr{&ast.Ident{NamePos: v.Pos(), Name: v.Name()}}
+		}
+		return true
+	})
+	return env
+}
+
+// captures reports whether v is declared outside this function.
+func (f *funcFlow) captures(v *types.Var) bool {
+	return v.Pos() < f.fn.Pos() || v.Pos() >= f.fn.End()
+}
+
+// entryOrigin classifies the self-marker definition of v reached by the
+// use id: the caller-supplied value of a parameter or receiver, the
+// unknown value a closure captures, or the zero value of a named result
+// or a `var x T` declaration (an anonymous literal).
+func (f *funcFlow) entryOrigin(id, marker *ast.Ident, v *types.Var) Origin {
+	switch {
+	case f.params[v]:
+		return Origin{Kind: OriginParam, Expr: id, Obj: v}
+	case f.captures(v):
+		return Origin{Kind: OriginUnknown, Expr: id, Obj: v}
+	default:
+		return Origin{Kind: OriginLiteral, Expr: marker}
 	}
 }
 
@@ -174,66 +195,11 @@ func (f *funcFlow) lhsVar(id *ast.Ident) *types.Var {
 	return nil
 }
 
-func (f *funcFlow) recordAssign(as *ast.AssignStmt) {
-	switch {
-	case len(as.Lhs) == len(as.Rhs):
-		for i, lhs := range as.Lhs {
-			if id, ok := lhs.(*ast.Ident); ok && id.Name != "_" {
-				if v := f.lhsVar(id); v != nil {
-					f.assigns[v] = append(f.assigns[v], as.Rhs[i])
-				}
-			}
-		}
-	case len(as.Rhs) == 1:
-		// Tuple assignment: every target flows from the one call.
-		for _, lhs := range as.Lhs {
-			if id, ok := lhs.(*ast.Ident); ok && id.Name != "_" {
-				if v := f.lhsVar(id); v != nil {
-					f.assigns[v] = append(f.assigns[v], as.Rhs[0])
-				}
-			}
-		}
-	}
-}
-
-func (f *funcFlow) recordValueSpec(vs *ast.ValueSpec) {
-	switch {
-	case len(vs.Values) == len(vs.Names):
-		for i, name := range vs.Names {
-			if name.Name == "_" {
-				continue
-			}
-			if v, ok := f.info.Defs[name].(*types.Var); ok {
-				f.assigns[v] = append(f.assigns[v], vs.Values[i])
-			}
-		}
-	case len(vs.Values) == 1:
-		for _, name := range vs.Names {
-			if name.Name == "_" {
-				continue
-			}
-			if v, ok := f.info.Defs[name].(*types.Var); ok {
-				f.assigns[v] = append(f.assigns[v], vs.Values[0])
-			}
-		}
-	}
-}
-
 // originsOf returns the leaf sources that can flow into e within this
-// function. When the flow-sensitive layer (cfg.go) is available the
-// trace follows only the definitions reaching e's program point;
-// otherwise it falls back to the flow-insensitive assignment graph.
-// Either way the set is an over-approximation of the true origins.
+// function, following the definitions that reach e's program point.
 func (f *funcFlow) originsOf(e ast.Expr) []Origin {
 	var out []Origin
-	f.ensureFlowSensitive()
-	if f.sensitive {
-		if env, ok := f.envAt(e); ok {
-			f.trace(e, env, map[*types.Var]bool{}, 0, &out)
-			return out
-		}
-	}
-	f.trace(e, nil, map[*types.Var]bool{}, 0, &out)
+	f.trace(e, f.envAt(e), map[*types.Var]bool{}, 0, &out)
 	return out
 }
 
@@ -265,9 +231,8 @@ var arithmeticOps = map[token.Token]bool{
 	token.SHL: true, token.SHR: true,
 }
 
-// trace walks e's structure toward leaves. env is the reaching-
-// definition environment at e's program point when the flow-sensitive
-// layer is active, nil for flow-insensitive tracing.
+// trace walks e's structure toward leaves under env, the reaching-
+// definition environment at e's program point.
 func (f *funcFlow) trace(e ast.Expr, env originEnv, visiting map[*types.Var]bool, depth int, out *[]Origin) {
 	if depth > originDepthCap || len(*out) >= originFanCap {
 		f.capStop(out, e)
@@ -328,54 +293,34 @@ func (f *funcFlow) traceIdent(id *ast.Ident, env originEnv, visiting map[*types.
 	case *types.Const:
 		f.add(out, Origin{Kind: OriginLiteral, Expr: id, Obj: obj})
 	case *types.Var:
-		if env != nil {
-			// Flow-sensitive: the environment is consulted before the
-			// parameter set so a reassigned parameter resolves to what
-			// actually reaches this point, not its caller-supplied value.
-			if defs, ok := env[obj]; ok {
-				if visiting[obj] {
-					return
-				}
-				visiting[obj] = true
-				for _, rhs := range defs {
-					if dID, isID := rhs.(*ast.Ident); isID && f.info.Defs[dID] == types.Object(obj) {
-						// Self-marker from `var x T`: the zero value, an
-						// anonymous literal.
-						f.add(out, Origin{Kind: OriginLiteral, Expr: dID})
-						continue
-					}
-					f.trace(rhs, env, visiting, depth+1, out)
-				}
-				delete(visiting, obj)
-				return
-			}
+		defs, ok := env[obj]
+		if !ok {
+			// Only package-level state and code unreachable from the
+			// entry block go undefined.
 			switch {
 			case f.params[obj]:
 				f.add(out, Origin{Kind: OriginParam, Expr: id, Obj: obj})
-			case obj.Pkg() != nil && obj.Parent() == obj.Pkg().Scope():
+			case isPackageLevel(obj):
 				f.add(out, Origin{Kind: OriginGlobal, Expr: id, Obj: obj})
 			default:
 				f.add(out, Origin{Kind: OriginUnknown, Expr: id, Obj: obj})
 			}
 			return
 		}
-		switch {
-		case f.params[obj]:
-			f.add(out, Origin{Kind: OriginParam, Expr: id, Obj: obj})
-		case visiting[obj]:
-			// Assignment cycle (x = x + 1 chains): the other origins of
+		if visiting[obj] {
+			// Definition cycle (x = x + 1 chains): the other origins of
 			// the cycle carry the information.
-		case len(f.assigns[obj]) > 0:
-			visiting[obj] = true
-			for _, rhs := range f.assigns[obj] {
-				f.trace(rhs, nil, visiting, depth+1, out)
-			}
-			delete(visiting, obj)
-		case obj.Pkg() != nil && obj.Parent() == obj.Pkg().Scope():
-			f.add(out, Origin{Kind: OriginGlobal, Expr: id, Obj: obj})
-		default:
-			f.add(out, Origin{Kind: OriginUnknown, Expr: id, Obj: obj})
+			return
 		}
+		visiting[obj] = true
+		for _, rhs := range defs {
+			if m, isID := rhs.(*ast.Ident); isID && m.Pos() == obj.Pos() {
+				f.add(out, f.entryOrigin(id, m, obj))
+				continue
+			}
+			f.trace(rhs, env, visiting, depth+1, out)
+		}
+		delete(visiting, obj)
 	default:
 		f.add(out, Origin{Kind: OriginUnknown, Expr: id, Obj: obj})
 	}

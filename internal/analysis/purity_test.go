@@ -64,6 +64,9 @@ func TestPurityTruePositives(t *testing.T) {
 	if !hasDiag(diags, "purity", "leaks caller memory", "lastInput retains pointer input in") {
 		t.Errorf("staged input-pointer leak did not trip; got %v", diags)
 	}
+	if !hasDiag(diags, "purity", "leaks caller memory", "retains pointer input in", "purity.retainMaybe") {
+		t.Errorf("a parameter reassigned on one branch only must still leak on the other; got %v", diags)
+	}
 	if !hasDiag(diags, "purity", "through t (aliasing table)") {
 		t.Errorf("staged alias write through a local did not trip; got %v", diags)
 	}
@@ -120,32 +123,40 @@ func TestSharedStateTruePositives(t *testing.T) {
 	}
 }
 
-// TestPurityRealTreeRoots guards the root set over the real module: the
-// simulator core and the harness attempt path must be discovered as
-// purity roots (an empty reachable set would certify anything).
-func TestPurityRealTreeRoots(t *testing.T) {
-	st := &purityState{}
-	a := &Analyzer{Name: "purity", Run: st.collect, Finish: func(*Pass) {}, Reset: func() { st.graph = nil }}
+// realTreeGraph loads real-module package directories and returns the
+// call graph one Run invocation shares among its analyzers.
+func realTreeGraph(t *testing.T, dirs ...string) *callGraph {
+	t.Helper()
 	loader, err := NewLoader("../..")
 	if err != nil {
 		t.Fatalf("NewLoader: %v", err)
 	}
-	for _, dir := range []string{"../sim", "../harness"} {
+	var pkgs []*Package
+	for _, dir := range dirs {
 		pkg, err := loader.LoadDir(dir)
 		if err != nil {
 			t.Fatalf("LoadDir(%s): %v", dir, err)
 		}
-		Run([]*Package{pkg}, []*Analyzer{a})
+		pkgs = append(pkgs, pkg)
+	}
+	var g *callGraph
+	Run(pkgs, []*Analyzer{{Name: "graph", Finish: func(p *Pass) { g = p.callGraph() }}})
+	return g
+}
+
+// TestPurityRealTreeRoots guards the root set over the real module: the
+// simulator core and the harness attempt path must be discovered as
+// purity roots (an empty reachable set would certify anything).
+func TestPurityRealTreeRoots(t *testing.T) {
+	for dir, want := range map[string]string{
+		"../sim":     "sim.(GPU).Run",
+		"../harness": "harness.runSpec",
+	} {
+		g := realTreeGraph(t, dir)
 		var roots []string
-		for _, fn := range st.graph.order {
-			if purityRoot(st.graph.sums[fn]) {
-				roots = append(roots, st.graph.sums[fn].displayName())
-			}
+		for _, fn := range g.roots(purityRoot) {
+			roots = append(roots, g.sums[fn].displayName())
 		}
-		want := map[string]string{
-			"../sim":     "sim.(GPU).Run",
-			"../harness": "harness.runSpec",
-		}[dir]
 		found := false
 		for _, r := range roots {
 			if r == want {

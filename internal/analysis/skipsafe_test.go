@@ -20,6 +20,7 @@ func TestSkipSafeTruePositives(t *testing.T) {
 		{"dueness-probe root", []string{"mutates g.idle", "nextWork", "sniff"}},
 		{"bare directive fails closed", []string{"writes package-level variable launches", "skim"}},
 		{"profTick standing root", []string{"mutates g.idle", "profTick"}},
+		{"receiver rebound on one branch", []string{"mutates g.idle", "profTick → skipsafe.(GPU).bumpMaybe"}},
 	}
 	for _, tc := range cases {
 		if !hasDiag(diags, "skipsafe", tc.wants...) {
@@ -43,22 +44,9 @@ func TestSkipSafeTruePositives(t *testing.T) {
 // fast-forward region (an ambiguous shape would surface as an
 // "unverified" diagnostic, an empty root set would certify anything).
 func TestSkipSafeRealTreeRoots(t *testing.T) {
-	st := &skipsafeState{}
-	a := &Analyzer{Name: "skipsafe", Run: st.collect, Finish: func(*Pass) {}, Reset: func() { st.graph = nil }}
-	loader, err := NewLoader("../..")
-	if err != nil {
-		t.Fatalf("NewLoader: %v", err)
-	}
-	pkg, err := loader.LoadDir("../sim")
-	if err != nil {
-		t.Fatalf("LoadDir(../sim): %v", err)
-	}
-	Run([]*Package{pkg}, []*Analyzer{a})
-	for _, fn := range st.graph.order {
-		sum := st.graph.sums[fn]
-		if !clockRoot(sum) {
-			continue
-		}
+	g := realTreeGraph(t, "../sim")
+	for _, fn := range g.roots(clockRoot) {
+		sum := g.sums[fn]
 		roots, ok := skipRootsFromRun(sum)
 		if !ok {
 			t.Fatalf("skipRootsFromRun failed to locate the fast-forward region in %s", sum.displayName())

@@ -68,3 +68,24 @@ func ranged(xs []int) int {
 	}
 	return sum
 }
+
+// reparam reassigns a parameter on one arm only: at the join both the
+// caller's p and the arm's q reach the return.
+func reparam(a bool, p, q int) int {
+	if a {
+		p = q
+	}
+	return p
+}
+
+// jumpy reassigns a parameter under goto, so the engine bails out to
+// the union environment: the return sees the entry p and every
+// definition of p.
+func jumpy(p, q int) int {
+again:
+	if p < q {
+		p = q
+		goto again
+	}
+	return p
+}

@@ -33,7 +33,7 @@ func (g *GPU) Run(input []byte) uint64 {
 	poke()
 	sneaky()
 	frozen()
-	g.cycles += heartbeat()
+	g.cycles += heartbeat(input)
 	return g.cycles
 }
 
@@ -74,10 +74,20 @@ func frozen() {
 	_ = os.Getenv("HOME") // not flagged: trusted pure leaf
 }
 
-func heartbeat() uint64 {
+func heartbeat(in []byte) uint64 {
+	retainMaybe(in, len(in) == 0)
 	//spawnvet:allow purity presentation-only rate estimate for the fixture
 	return uint64(time.Now().Unix())
 }
 
 // coldReset is impure but unreachable from any run root: not flagged.
 func coldReset() { launchCount = 0 }
+
+// retainMaybe reassigns its parameter on one branch only: on the other
+// path the caller's memory still reaches the package-level write.
+func retainMaybe(in []byte, fresh bool) {
+	if fresh {
+		in = make([]byte, 1)
+	}
+	lastInput = in // want: pointer input leaks when !fresh
+}

@@ -158,6 +158,7 @@ func (g *GPU) abort(msg string) error {
 // it while idle regardless of call sites.
 func (g *GPU) profTick() {
 	g.idle++ // flagged
+	g.bumpMaybe(g.pending == 0)
 }
 
 // dispatch has every effect in the book but is never on the skip path:
@@ -166,4 +167,13 @@ func (g *GPU) dispatch() {
 	launches++
 	g.idle++
 	_ = time.Now()
+}
+
+// bumpMaybe rebinds its receiver on one branch only: on the other path
+// the write still lands in the caller's GPU.
+func (g *GPU) bumpMaybe(scratch bool) {
+	if scratch {
+		g = &GPU{}
+	}
+	g.idle++ // flagged
 }

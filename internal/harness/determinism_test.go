@@ -18,7 +18,7 @@ func offlineArtifacts(t *testing.T) (outcomeJSON, metricsCSV, metricsJSON, trace
 	var traceBuf bytes.Buffer
 	sink := trace.NewJSONL(&traceBuf)
 	reg := metrics.NewRegistry()
-	out, err := OfflineSearch(Spec{
+	out, err := Serial().OfflineSearch(Spec{
 		Benchmark:  "MM-small",
 		Scheme:     SchemeOffline,
 		Metrics:    reg,

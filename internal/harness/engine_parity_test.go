@@ -25,7 +25,7 @@ func engineArtifacts(t *testing.T, eng sim.Engine) (resultJSON, metricsCSV, metr
 	sink := trace.NewJSONL(&traceBuf)
 	reg := metrics.NewRegistry()
 	plan := faults.Mild(11)
-	out, err := OfflineSearch(Spec{
+	out, err := Serial().OfflineSearch(Spec{
 		Benchmark:  "MM-small",
 		Scheme:     SchemeOffline,
 		Engine:     eng,

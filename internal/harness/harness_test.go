@@ -162,7 +162,7 @@ func TestShapeSpawnBeatsBaseline(t *testing.T) {
 }
 
 func TestFig5RendersMonotoneOffload(t *testing.T) {
-	r, err := Fig5("MM-small")
+	r, err := Serial().Fig5("MM-small")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +259,7 @@ func TestAllBenchmarksCompleteUnderEveryScheme(t *testing.T) {
 }
 
 func TestAblationVariantsComplete(t *testing.T) {
-	tb, err := Ablation("MM-small")
+	tb, err := Serial().Ablation("MM-small")
 	if err != nil {
 		t.Fatal(err)
 	}

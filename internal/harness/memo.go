@@ -122,7 +122,7 @@ func replayFit(s *Spec, so *storedOutcome) bool {
 	if s.Metrics != nil {
 		return false
 	}
-	if observerFor(s) != nil && so.Metrics == nil {
+	if s.Observer != nil && so.Metrics == nil {
 		return false
 	}
 	if s.Profile != nil && so.Profile == nil {
@@ -159,11 +159,6 @@ func decodeOutcome(s *Spec, data []byte) (*Outcome, bool) {
 	}, true
 }
 
-// noopDefaults marks a spec whose Defaults hook has already fired, so
-// the second applyDefaults inside runSpec neither re-applies it nor
-// falls back to the deprecated SpecDefaults global.
-func noopDefaults(*Spec) {}
-
 // runMemo is the store-aware single-run path: replay the spec from the
 // result store when a fit entry exists, otherwise run live, then
 // journal the completed point and store a successful result. With no
@@ -175,15 +170,15 @@ func (p *Pool) runMemo(spec Spec) (*Outcome, error) {
 	// Resolve defaults now: the content address must describe the spec
 	// as it will run, and runSpec must not resolve them a second time.
 	applyDefaults(&spec)
-	spec.Defaults = noopDefaults
+	spec.Defaults = nil
 	key := specKey(&spec)
 	if data, ok := p.Store.Get(key); ok {
 		if out, ok := decodeOutcome(&spec, data); ok {
 			p.journalPoint(key, &spec, store.StatusReplayed, 0, nil)
 			// Observers see replayed outcomes too: a resumed sweep's
 			// observer stream covers every point, not just the re-run ones.
-			if obs := observerFor(&spec); obs != nil {
-				obs(out)
+			if spec.Observer != nil {
+				spec.Observer(out)
 			}
 			return out, nil
 		}
