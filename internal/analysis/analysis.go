@@ -42,10 +42,20 @@ type Pass struct {
 	Pkg      *Package
 
 	diags *[]Diagnostic
+	// pkgs are every package of the Run invocation (Finish passes only).
+	pkgs []*Package
 	// callGraph returns the module call graph (callgraph.go) over every
 	// package of the Run invocation, built once on first use and shared
 	// by all analyzers.
 	callGraph func() *callGraph
+}
+
+// on returns a copy of the pass that analyzes pkg: Finish passes hand
+// each function of a module-wide walk its own package's type info.
+func (p *Pass) on(pkg *Package) *Pass {
+	q := *p
+	q.Pkg = pkg
+	return &q
 }
 
 // Reportf records a diagnostic at pos.
@@ -83,12 +93,10 @@ type Analyzer struct {
 	Run func(*Pass)
 	// Finish, when non-nil, runs after every package has been analyzed
 	// (module-wide rules: cross-package name collisions, call-graph
-	// contracts). The analyzer reports through the final pass handed
-	// here, from state accumulated in Run or from the shared call graph.
+	// contracts). Its pass sees every package of the Run and the shared
+	// call graph; whatever state it builds lives only for the call, so
+	// one Analyzer value serves any number of Runs.
 	Finish func(*Pass)
-	// Reset clears accumulated state so one Analyzer value can serve
-	// several driver invocations (tests).
-	Reset func()
 }
 
 // Analyzers returns the full spawnvet suite, in reporting order.
@@ -154,11 +162,6 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 		}
 		return graph
 	}
-	for _, a := range analyzers {
-		if a.Reset != nil {
-			a.Reset()
-		}
-	}
 	for _, pkg := range pkgs {
 		pkg.scanDirectives()
 		for _, a := range analyzers {
@@ -171,7 +174,7 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 	}
 	for _, a := range analyzers {
 		if a.Finish != nil {
-			a.Finish(&Pass{Analyzer: a, Pkg: lastPkg(pkgs), diags: &diags, callGraph: graphOf})
+			a.Finish(&Pass{Analyzer: a, Pkg: lastPkg(pkgs), pkgs: pkgs, diags: &diags, callGraph: graphOf})
 		}
 	}
 	diags = suppress(pkgs, diags)
@@ -268,17 +271,18 @@ const (
 	//
 	// The justification text after the analyzer list is mandatory.
 	DirectiveAllow DirectiveKind = iota
-	// DirectiveHotPath marks a function declaration as a hot-path root
-	// for the hotpath analyzer: //spawnvet:hotpath
+	// DirectiveHotPath marks, in a function's doc comment, a hot-path
+	// root the hotpath analyzer cannot reach through the call graph —
+	// an entry point dispatched through an interface:
+	//
+	//	//spawnvet:hotpath called per event through the trace.Sink interface
 	DirectiveHotPath
 	// DirectivePure asserts, in a function's doc comment, that the
 	// function honors the purity contract (no package-level writes, no
 	// ambient I/O, no input-pointer retention) even though the purity
 	// analyzer cannot prove it — dynamic dispatch inside, or effects the
 	// author has vetted as run-invisible. The analyzer treats the
-	// function as an opaque pure leaf: it does not descend into the
-	// body. The justification is mandatory; a bare //spawnvet:pure is a
-	// malformed-directive diagnostic and confers no trust (fails closed):
+	// function as an opaque pure leaf and does not descend into the body:
 	//
 	//	//spawnvet:pure table lookup over data frozen at construction
 	DirectivePure
@@ -287,12 +291,23 @@ const (
 	// provably-idle span even though the skipsafe analyzer sees effects —
 	// the author has vetted them as invisible to simulated state (e.g.
 	// wall-clock presentation fields). The function becomes a trusted
-	// leaf. The justification is mandatory; a bare //spawnvet:skipsafe
-	// is a malformed-directive diagnostic and confers no trust:
+	// leaf:
 	//
 	//	//spawnvet:skipsafe heartbeat pacing fields never feed the model
 	DirectiveSkipSafe
 )
+
+// markers maps each function-marker word to its kind and to what its
+// mandatory justification must explain. A bare marker is a
+// malformed-directive diagnostic and confers nothing (fails closed).
+var markers = map[string]struct {
+	kind DirectiveKind
+	why  string
+}{
+	"hotpath":  {DirectiveHotPath, "why the call graph cannot reach the function from a per-cycle root"},
+	"pure":     {DirectivePure, "why the function honors the purity contract"},
+	"skipsafe": {DirectiveSkipSafe, "why the effects are invisible to a skipped idle span"},
+}
 
 // Directive is one parsed //spawnvet:... comment.
 type Directive struct {
@@ -332,38 +347,19 @@ func (p *Package) scanDirectives() {
 					continue
 				}
 				d := &Directive{Pos: p.Fset.Position(c.Pos())}
-				switch {
-				case text == "hotpath":
-					d.Kind = DirectiveHotPath
-				case strings.HasPrefix(text, "pure"):
-					d.Kind = DirectivePure
-					rest := strings.TrimPrefix(text, "pure")
-					if rest != "" && !strings.HasPrefix(rest, " ") && !strings.HasPrefix(rest, "\t") {
-						d.Err = fmt.Sprintf("unknown spawnvet directive %q", "//spawnvet:"+text)
-						break
-					}
+				word, rest := text, ""
+				if i := strings.IndexAny(text, " \t"); i >= 0 {
+					word, rest = text[:i], text[i:]
+				}
+				switch m, ok := markers[word]; {
+				case ok:
+					d.Kind = m.kind
 					d.Justification = strings.TrimSpace(rest)
 					if d.Justification == "" {
-						d.Err = "//spawnvet:pure needs a justification (why the function honors the purity contract)"
+						d.Err = fmt.Sprintf("//spawnvet:%s needs a justification (%s)", word, m.why)
 					}
-				case strings.HasPrefix(text, "skipsafe"):
-					d.Kind = DirectiveSkipSafe
-					rest := strings.TrimPrefix(text, "skipsafe")
-					if rest != "" && !strings.HasPrefix(rest, " ") && !strings.HasPrefix(rest, "\t") {
-						d.Err = fmt.Sprintf("unknown spawnvet directive %q", "//spawnvet:"+text)
-						break
-					}
-					d.Justification = strings.TrimSpace(rest)
-					if d.Justification == "" {
-						d.Err = "//spawnvet:skipsafe needs a justification (why the effects are invisible to a skipped idle span)"
-					}
-				case strings.HasPrefix(text, "allow"):
+				case word == "allow":
 					d.Kind = DirectiveAllow
-					rest := strings.TrimPrefix(text, "allow")
-					if rest != "" && !strings.HasPrefix(rest, " ") && !strings.HasPrefix(rest, "\t") {
-						d.Err = fmt.Sprintf("unknown spawnvet directive %q", "//spawnvet:"+text)
-						break
-					}
 					fields := strings.Fields(rest)
 					if len(fields) == 0 {
 						d.Err = "//spawnvet:allow needs an analyzer list and a justification"
@@ -408,60 +404,19 @@ func (p *Package) directiveProblems() []Diagnostic {
 	return out
 }
 
-// hotPathMarked reports whether the function declaration carries a
-// //spawnvet:hotpath marker in its doc comment.
-func (p *Package) hotPathMarked(fn *ast.FuncDecl) bool {
-	if fn.Doc == nil {
-		return false
-	}
-	for _, c := range fn.Doc.List {
-		if strings.TrimSpace(c.Text) == "//spawnvet:hotpath" {
-			return true
-		}
-	}
-	return false
-}
-
-// skipsafeMarked reports whether the function declaration carries a
-// valid //spawnvet:skipsafe directive (with justification) in its doc
-// comment. Like pure, a malformed skipsafe directive fails closed.
-func (p *Package) skipsafeMarked(fn *ast.FuncDecl) bool {
+// marked reports whether the function declaration carries a valid
+// marker of the given kind in its doc comment. A malformed marker
+// confers nothing: it surfaces as a directive diagnostic and the
+// function stays subject to full analysis.
+func (p *Package) marked(fn *ast.FuncDecl, kind DirectiveKind) bool {
 	if fn.Doc == nil {
 		return false
 	}
 	p.scanDirectives()
 	for _, c := range fn.Doc.List {
-		if !strings.HasPrefix(c.Text, "//spawnvet:skipsafe") {
-			continue
-		}
 		pos := p.Fset.Position(c.Pos())
 		for _, d := range p.directives {
-			if d.Kind == DirectiveSkipSafe && d.Err == "" &&
-				d.Pos.Filename == pos.Filename && d.Pos.Line == pos.Line {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// pureMarked reports whether the function declaration carries a valid
-// //spawnvet:pure directive (with justification) in its doc comment.
-// Malformed pure directives confer no trust: they surface as directive
-// diagnostics and the function stays subject to full analysis.
-func (p *Package) pureMarked(fn *ast.FuncDecl) bool {
-	if fn.Doc == nil {
-		return false
-	}
-	p.scanDirectives()
-	for _, c := range fn.Doc.List {
-		if !strings.HasPrefix(c.Text, "//spawnvet:pure") {
-			continue
-		}
-		pos := p.Fset.Position(c.Pos())
-		for _, d := range p.directives {
-			if d.Kind == DirectivePure && d.Err == "" &&
-				d.Pos.Filename == pos.Filename && d.Pos.Line == pos.Line {
+			if d.Kind == kind && d.Err == "" && d.Pos == pos {
 				return true
 			}
 		}

@@ -7,23 +7,26 @@ import (
 	"strings"
 )
 
-// This file is the interprocedural layer the purity, skipsafe, and
-// clockstep analyzers share: one module-wide call graph per Run
-// invocation (Pass.callGraph), built from one bottom-up funcSummary per
-// function declaration. A summary records every direct effect any of the three
-// contracts cares about plus the static callee edges; each analyzer
-// then picks its roots, its trusted leaves, and the effect kinds it
+// This file is the interprocedural layer the purity, skipsafe,
+// clockstep, and hotpath analyzers share: one module-wide call graph
+// per Run invocation (Pass.callGraph), built from one bottom-up
+// funcSummary per function declaration. A summary records every direct
+// effect the contracts care about plus the static callee edges; each
+// analyzer then picks its roots, its trusted leaves, and what it
 // reports, and walks the graph from there, attributing each function's
-// direct effects to the call chain that first reaches it.
+// findings to the call chain that first reaches it.
 //
 // The engine mirrors the intraprocedural dataflow engine's design
 // choices (dataflow.go): it is deliberately over-approximate in the
 // safe direction, capped so pathological graphs stay cheap, and opaque
 // at boundaries it cannot see through. Concretely:
 //
-//   - dynamic dispatch (interface methods, func-typed values and
-//     fields) is an opaque boundary assumed to honor the contract of
-//     its declaration site — the callee cannot be resolved statically;
+//   - a named function or method referenced as a value (a method value
+//     handed to a dispatcher) is an edge, like a call;
+//   - dynamic dispatch (interface methods, closures held in variables,
+//     func-typed fields) is an opaque boundary assumed to honor the
+//     contract of its declaration site — the callee cannot be resolved
+//     statically;
 //   - out-of-module callees carry no summary; they are classified by
 //     the external-call tables (ambient I/O packages, PureFuncs)
 //     instead of traversed;
@@ -85,8 +88,9 @@ type funcSummary struct {
 	// declaration (over-approximation: the literal may run whenever the
 	// function does).
 	effects []effect
-	// callees are the module-resolvable static call edges, deduplicated
-	// in first-call order; calleePos holds the first call site of each.
+	// callees are the module-resolvable static edges (calls and function
+	// references), deduplicated in first-reference order; calleePos holds
+	// the first reference site of each.
 	callees   []*types.Func
 	calleePos map[*types.Func]token.Pos
 	// overflow marks callee fan-cap exhaustion: the summary is
@@ -186,11 +190,23 @@ func newCallGraph(pkgs []*Package) *callGraph {
 }
 
 // scan records the summary's direct effects and static call edges.
+// Every identifier that resolves to a function is an edge, whether it
+// is called or passed as a value (g.gmu.Dispatch(now, g.place) reaches
+// place); a call's edge is recorded at the call, before its operands.
+// Ambient effects are recorded only for real calls, at the call.
+// Builtins, conversions, func-typed values, and interface methods are
+// opaque.
 func (s *funcSummary) scan() {
 	walkStack(s.decl, func(n ast.Node, stack []ast.Node) {
 		switch n := n.(type) {
 		case *ast.CallExpr:
-			s.recordCall(n)
+			if fn, ok := calleeObject(s.pkg.Info, n).(*types.Func); ok {
+				s.reference(fn, n.Pos(), true)
+			}
+		case *ast.Ident:
+			if fn, ok := s.pkg.Info.Uses[n].(*types.Func); ok {
+				s.reference(fn, n.Pos(), false)
+			}
 		case *ast.AssignStmt:
 			for i, lhs := range n.Lhs {
 				var rhs ast.Expr
@@ -209,19 +225,18 @@ func (s *funcSummary) scan() {
 	})
 }
 
-// recordCall classifies one call site: pure-registry skip, ambient
-// effect, or static call-graph edge. Builtins, conversions, func-typed
-// values, and interface methods are opaque.
-func (s *funcSummary) recordCall(call *ast.CallExpr) {
-	fn, ok := calleeObject(s.pkg.Info, call).(*types.Func)
-	if !ok || fn.Pkg() == nil || PureFuncs[fn.FullName()] {
-		return
+// reference classifies one reference to fn: pure-registry skip, ambient
+// effect (calls only), or call-graph edge.
+func (s *funcSummary) reference(fn *types.Func, pos token.Pos, call bool) {
+	switch {
+	case fn.Pkg() == nil || PureFuncs[fn.FullName()]:
+	case ambientCall(fn):
+		if call {
+			s.effects = append(s.effects, effect{kind: effectAmbientIO, pos: pos, what: fn.FullName()})
+		}
+	default:
+		s.addCallee(fn, pos)
 	}
-	if ambientCall(fn) {
-		s.effects = append(s.effects, effect{kind: effectAmbientIO, pos: call.Pos(), what: fn.FullName()})
-		return
-	}
-	s.addCallee(fn, call.Pos())
 }
 
 // recordWrite classifies one assignment target. A package-level target

@@ -18,9 +18,11 @@ import (
 // internal/inputs, internal/store, the CLIs under cmd/, and the module
 // root package):
 //
-//   - no time.Now / time.Since (wall-clock sites that are genuinely
-//     presentation-only — heartbeat rates, deadline bookkeeping — carry
-//     a //spawnvet:allow determinism directive with a justification);
+//   - no wall clock: the time package's clock readers and timers, as
+//     purity's ambient table classifies them (wall-clock sites that are
+//     genuinely presentation-only — heartbeat rates, deadline
+//     bookkeeping, retry backoff — carry a //spawnvet:allow determinism
+//     directive with a justification);
 //   - no package-global math/rand state (rand.Intn, rand.Seed, ...);
 //     seeded generators via rand.New(rand.NewSource(seed)) are fine;
 //   - no ranging over a map, except the canonical key-collection
@@ -41,49 +43,45 @@ func DeterminismAnalyzer() *Analyzer {
 	}
 }
 
-// randAllowed lists math/rand identifiers that do not touch the global
-// generator: constructors and types for explicitly seeded streams.
-var randAllowed = map[string]bool{
-	"New": true, "NewSource": true, "NewZipf": true,
-	"Rand": true, "Source": true, "Source64": true, "Zipf": true,
-	"NewPCG": true, "NewChaCha8": true, "PCG": true, "ChaCha8": true,
-}
-
 func runDeterminism(pass *Pass) {
-	info := pass.Pkg.Info
 	for _, f := range pass.Pkg.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
-			case *ast.CallExpr:
-				if isPkgCall(info, n, "time", "Now") || isPkgCall(info, n, "time", "Since") {
-					pass.Reportf(n.Pos(),
-						"wall-clock read (%s) in a deterministic package; derive timing from the simulation clock or add //spawnvet:allow determinism <why>",
-						exprText(n.Fun))
-				}
 			case *ast.SelectorExpr:
-				// Only package-level selectors (rand.Intn) touch the global
-				// generator; methods on a seeded *rand.Rand are fine.
-				x, ok := n.X.(*ast.Ident)
-				if !ok {
-					break
-				}
-				pkgName, ok := info.Uses[x].(*types.PkgName)
-				if !ok {
-					break
-				}
-				path := pkgName.Imported().Path()
-				obj := info.Uses[n.Sel]
-				if obj != nil && (path == "math/rand" || path == "math/rand/v2") &&
-					!randAllowed[obj.Name()] {
-					pass.Reportf(n.Pos(),
-						"global math/rand state (rand.%s) breaks seeded reproducibility; use rand.New(rand.NewSource(seed))",
-						obj.Name())
-				}
+				checkAmbientSelector(pass, n)
 			case *ast.RangeStmt:
 				checkMapRange(pass, n)
 			}
 			return true
 		})
+	}
+}
+
+// checkAmbientSelector flags a package-level selector of the time or
+// math/rand packages that purity classifies as ambient (ambientCall):
+// the wall clock and timers, and the global generator. Methods on a
+// seeded *rand.Rand and pure time arithmetic are fine.
+func checkAmbientSelector(pass *Pass, sel *ast.SelectorExpr) {
+	x, ok := sel.X.(*ast.Ident)
+	if !ok {
+		return
+	}
+	if _, ok := pass.Pkg.Info.Uses[x].(*types.PkgName); !ok {
+		return
+	}
+	fn, ok := pass.Pkg.Info.Uses[sel.Sel].(*types.Func)
+	if !ok || !ambientCall(fn) {
+		return
+	}
+	switch path := fn.Pkg().Path(); {
+	case path == "time":
+		pass.Reportf(sel.Pos(),
+			"wall-clock read (%s) in a deterministic package; derive timing from the simulation clock or add //spawnvet:allow determinism <why>",
+			exprText(sel))
+	case randPkg(path):
+		pass.Reportf(sel.Pos(),
+			"global math/rand state (rand.%s) breaks seeded reproducibility; use rand.New(rand.NewSource(seed))",
+			fn.Name())
 	}
 }
 

@@ -136,3 +136,19 @@ func TestGoldenHasSuppressedCases(t *testing.T) {
 		})
 	}
 }
+
+// TestRunTwiceSameAnalyzers pins that analyzers keep no state across
+// Run invocations: `spawnvet -fix` re-analyzes with the same Analyzer
+// values, and a module-wide table carried over from the first Run
+// would report every registration as a duplicate of itself.
+func TestRunTwiceSameAnalyzers(t *testing.T) {
+	analyzers := []*Analyzer{MetricsHygieneAnalyzer()}
+	first := loadFixture(t, "metricshygiene", analyzers...)
+	second := loadFixture(t, "metricshygiene", analyzers...)
+	if len(first) == 0 {
+		t.Fatal("metricshygiene fixture reported nothing")
+	}
+	if fmt.Sprint(first) != fmt.Sprint(second) {
+		t.Errorf("second Run differs from the first:\n--- first ---\n%v\n--- second ---\n%v", first, second)
+	}
+}

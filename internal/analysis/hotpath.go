@@ -2,13 +2,17 @@ package analysis
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 )
 
 // HotPathAnalyzer polices the per-cycle call trees of the engine.
-// Roots are functions named Run, Tick, or Cycle plus any function
-// marked //spawnvet:hotpath; the analyzer closes the same-package call
-// graph over them and, inside that hot set, flags:
+// Roots are the in-scope functions named Run, Tick, or Cycle plus any
+// function marked //spawnvet:hotpath <justification> (an entry point
+// reached only through an interface). The analyzer walks the shared
+// module call graph (callgraph.go) from them — across packages and
+// through method values handed to dispatchers — and, in every in-scope
+// function it reaches, flags:
 //
 //   - fmt formatting calls (Sprintf and friends allocate and reflect);
 //   - closure (func literal) allocations;
@@ -24,13 +28,14 @@ import (
 // Code on cold sub-paths — arguments to panic, expressions inside
 // return statements — is exempt: abort and invariant reporting may
 // format freely. Everything else needs a //spawnvet:allow hotpath
-// directive with a justification.
+// directive with a justification. Out-of-scope packages are trusted
+// leaves: the walk neither reports nor descends there.
 func HotPathAnalyzer() *Analyzer {
 	return &Analyzer{
 		Name:      "hotpath",
 		Doc:       "flag allocations, formatting, boxing, and unguarded hook calls in per-cycle call trees",
 		AppliesTo: pathWithin("internal/sim", "internal/profile"),
-		Run:       runHotPath,
+		Finish:    finishHotPath,
 	}
 }
 
@@ -57,61 +62,36 @@ var fmtFormatting = map[string]bool{
 	"Printf": true, "Print": true, "Println": true, "Appendf": true,
 }
 
-func runHotPath(pass *Pass) {
-	pkg := pass.Pkg
-	info := pkg.Info
+// walkHot walks the hot set: every function reachable from the hot-path
+// roots of the packages inScope admits (nil admits every package).
+func walkHot(g *callGraph, inScope func(string) bool,
+	visit func(sum *funcSummary, chain []string),
+	deep func(sum *funcSummary, calleePos token.Pos, chain []string)) {
 
-	// Map every function object to its declaration.
-	decls := map[types.Object]*ast.FuncDecl{}
-	var roots []*ast.FuncDecl
-	for _, f := range pkg.Files {
-		for _, d := range f.Decls {
-			fn, ok := d.(*ast.FuncDecl)
-			if !ok || fn.Body == nil {
-				continue
-			}
-			obj := info.Defs[fn.Name]
-			if obj == nil {
-				continue
-			}
-			decls[obj] = fn
-			if hotRootNames[fn.Name.Name] || pkg.hotPathMarked(fn) {
-				roots = append(roots, fn)
-			}
-		}
-	}
-	if len(roots) == 0 {
-		return
-	}
+	outOfScope := func(sum *funcSummary) bool { return inScope != nil && !inScope(sum.pkg.Path) }
+	roots := g.roots(func(sum *funcSummary) bool {
+		return !outOfScope(sum) && (hotRootNames[sum.obj.Name()] || sum.pkg.marked(sum.decl, DirectiveHotPath))
+	})
+	g.walkFrom(roots, outOfScope, visit, deep)
+}
 
-	// Close the same-package call graph over the roots.
-	hot := map[*ast.FuncDecl]bool{}
-	var visit func(fn *ast.FuncDecl)
-	visit = func(fn *ast.FuncDecl) {
-		if hot[fn] {
-			return
-		}
-		hot[fn] = true
-		ast.Inspect(fn.Body, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
+// finishHotPath checks every function of the hot set against its own
+// package.
+func finishHotPath(pass *Pass) {
+	walkHot(pass.callGraph(), pass.Analyzer.AppliesTo,
+		func(sum *funcSummary, chain []string) {
+			if sum.overflow {
+				pass.Reportf(sum.decl.Name.Pos(),
+					"%s has more than %d static callees; its hot path is unverifiable (call chain: %s) — split it",
+					sum.displayName(), callGraphFanCap, chainText(chain))
 			}
-			if obj := calleeObject(info, call); obj != nil {
-				if callee, ok := decls[obj]; ok {
-					visit(callee)
-				}
-			}
-			return true
+			checkHotFunc(pass.on(sum.pkg), sum.decl)
+		},
+		func(sum *funcSummary, pos token.Pos, chain []string) {
+			pass.Reportf(pos,
+				"call chain from the hot-path roots exceeds the depth cap (%d) inside %s; deeper callees are unverified (chain: %s)",
+				callGraphDepthCap, sum.displayName(), chainText(chain))
 		})
-	}
-	for _, r := range roots {
-		visit(r)
-	}
-
-	for fn := range hot {
-		checkHotFunc(pass, fn)
-	}
 }
 
 func checkHotFunc(pass *Pass, fn *ast.FuncDecl) {

@@ -1,12 +1,14 @@
 package analysis
 
 import (
+	"cmp"
 	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strconv"
 )
 
@@ -26,15 +28,11 @@ import (
 // CounterFunc/GaugeFunc registrations are snapshot-time collectors and
 // exempt from the write check.
 func MetricsHygieneAnalyzer() *Analyzer {
-	a := &Analyzer{
-		Name: "metrics",
-		Doc:  "metrics registrations use unique constant snake_case names and every instrument is written",
+	return &Analyzer{
+		Name:   "metrics",
+		Doc:    "metrics registrations use unique constant snake_case names and every instrument is written",
+		Finish: finishMetricsHygiene,
 	}
-	regs := map[string][]regSite{}
-	a.Reset = func() { regs = map[string][]regSite{} }
-	a.Run = func(pass *Pass) { runMetricsHygiene(pass, regs) }
-	a.Finish = func(pass *Pass) { finishMetricsHygiene(pass, regs) }
-	return a
 }
 
 // regSite is one registration call site.
@@ -53,7 +51,9 @@ var registryMethods = map[string]int{
 
 var snakeCase = regexp.MustCompile(`^[a-z][a-z0-9]*(_[a-z0-9]+)*$`)
 
-func runMetricsHygiene(pass *Pass, regs map[string][]regSite) {
+// checkPackage audits one package's registrations and handles, adding
+// each constant-named registration site to regs.
+func checkPackage(pass *Pass, regs map[string][]regSite) {
 	info := pass.Pkg.Info
 	// instrument handle object -> first registration position
 	handles := map[types.Object]token.Pos{}
@@ -220,7 +220,7 @@ func checkHandlesWritten(pass *Pass, handles map[types.Object]token.Pos, assignU
 			objs = append(objs, obj)
 		}
 	}
-	sortObjectsByPos(pass, handles, objs)
+	slices.SortFunc(objs, func(a, b types.Object) int { return cmp.Compare(handles[a], handles[b]) })
 	for _, obj := range objs {
 		pass.Reportf(handles[obj],
 			"instrument %s is registered but never written (no Inc/Add/Set/Observe anywhere in the package)",
@@ -228,25 +228,19 @@ func checkHandlesWritten(pass *Pass, handles map[types.Object]token.Pos, assignU
 	}
 }
 
-func sortObjectsByPos(pass *Pass, handles map[types.Object]token.Pos, objs []types.Object) {
-	for i := 1; i < len(objs); i++ {
-		for j := i; j > 0 && handles[objs[j]] < handles[objs[j-1]]; j-- {
-			objs[j], objs[j-1] = objs[j-1], objs[j]
-		}
+// finishMetricsHygiene audits every package of the Run, then detects
+// duplicate names across all of them. The name table lives only for
+// this call, so one Analyzer value serves any number of Runs.
+func finishMetricsHygiene(pass *Pass) {
+	regs := map[string][]regSite{}
+	for _, pkg := range pass.pkgs {
+		checkPackage(pass.on(pkg), regs)
 	}
-}
-
-// finishMetricsHygiene runs module-wide: duplicate-name detection
-// across every package analyzed this invocation.
-func finishMetricsHygiene(pass *Pass, regs map[string][]regSite) {
-	if pass.Pkg == nil {
-		return
-	}
-	var names []string
+	names := make([]string, 0, len(regs))
 	for name := range regs {
 		names = append(names, name)
 	}
-	sortStrings(names)
+	slices.Sort(names)
 	for _, name := range names {
 		sites := regs[name]
 		if len(sites) < 2 {
@@ -265,14 +259,6 @@ func finishMetricsHygiene(pass *Pass, regs map[string][]regSite) {
 			pass.Reportf(s.pos,
 				"metric %q already registered at %s; unlabeled duplicate registrations shadow each other",
 				name, sites[0].posStr)
-		}
-	}
-}
-
-func sortStrings(ss []string) {
-	for i := 1; i < len(ss); i++ {
-		for j := i; j > 0 && ss[j] < ss[j-1]; j-- {
-			ss[j], ss[j-1] = ss[j-1], ss[j]
 		}
 	}
 }

@@ -85,6 +85,13 @@ var timeClockFuncs = map[string]bool{
 	"AfterFunc": true,
 }
 
+// randAllowed lists the math/rand functions that do not touch the
+// global generator: constructors of explicitly seeded streams.
+var randAllowed = map[string]bool{
+	"New": true, "NewSource": true, "NewZipf": true,
+	"NewPCG": true, "NewChaCha8": true,
+}
+
 // ambientCall reports whether fn is an ambient-I/O entry point.
 func ambientCall(fn *types.Func) bool {
 	if fn.Pkg() == nil {
@@ -154,7 +161,7 @@ func finishPurity(pass *Pass) {
 	}
 	g := pass.callGraph()
 	g.walkFrom(g.roots(purityRoot),
-		func(sum *funcSummary) bool { return sum.pkg.pureMarked(sum.decl) },
+		func(sum *funcSummary) bool { return sum.pkg.marked(sum.decl, DirectivePure) },
 		func(sum *funcSummary, chain []string) {
 			if sum.overflow {
 				pass.Reportf(sum.decl.Name.Pos(),

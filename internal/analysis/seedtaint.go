@@ -246,27 +246,16 @@ func checkSeedFieldLiteral(pass *Pass, flows *flowCache, checked map[ast.Expr]bo
 	}
 }
 
-// ambientEntropy matches calls that read entropy from the environment.
+// ambientEntropy matches calls that read entropy from the environment:
+// purity's ambient table (os, crypto/rand, the wall clock, ...) plus
+// the time Unix* accessors a seed expression ends in
+// (time.Now().UnixNano() traces to the UnixNano leaf).
 func ambientEntropy(o Origin) bool {
 	fn, ok := o.Obj.(*types.Func)
 	if !ok || fn.Pkg() == nil {
 		return false
 	}
-	switch fn.Pkg().Path() {
-	case "time":
-		// Now/Since, plus the Time methods a seed expression would end in
-		// (time.Now().UnixNano() traces to the UnixNano leaf).
-		switch fn.Name() {
-		case "Now", "Since", "Unix", "UnixNano", "UnixMicro", "UnixMilli":
-			return true
-		}
-		return false
-	case "os":
-		return fn.Name() == "Getpid" || fn.Name() == "Getppid" || fn.Name() == "Getenv"
-	case "crypto/rand":
-		return true
-	}
-	return false
+	return ambientCall(fn) || fn.Pkg().Path() == "time" && strings.HasPrefix(fn.Name(), "Unix")
 }
 
 // sanctionedSeedOrigin reports whether one origin is a legitimate seed

@@ -69,7 +69,7 @@ func skipSanctionedPkg(pkgPath string) bool {
 // a sanctioned leaf: an accumulator package, or a valid
 // //spawnvet:skipsafe or //spawnvet:pure directive.
 func skipTrusted(sum *funcSummary) bool {
-	return skipSanctionedPkg(sum.pkg.Path) || sum.pkg.skipsafeMarked(sum.decl) || sum.pkg.pureMarked(sum.decl)
+	return skipSanctionedPkg(sum.pkg.Path) || sum.pkg.marked(sum.decl, DirectiveSkipSafe) || sum.pkg.marked(sum.decl, DirectivePure)
 }
 
 // skipRootsFromRun locates the fast-forward region of one GPU.Run body

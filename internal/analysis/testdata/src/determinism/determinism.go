@@ -68,3 +68,8 @@ func CountOnly(m map[string]int) int {
 	}
 	return n
 }
+
+// Backoff blocks on a wall-clock timer: flagged.
+func Backoff(d time.Duration) {
+	time.Sleep(d)
+}

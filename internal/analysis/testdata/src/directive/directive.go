@@ -18,7 +18,7 @@ func UnknownAnalyzer() time.Time {
 	return time.Now()
 }
 
-// UnknownDirective: only allow and hotpath exist.
+// UnknownDirective: only allow, hotpath, pure and skipsafe exist.
 func UnknownDirective() int {
 	//spawnvet:ignore determinism because reasons
 	return 1
@@ -28,4 +28,11 @@ func UnknownDirective() int {
 func WellFormed() time.Time {
 	//spawnvet:allow determinism fixture: valid directive, valid reason
 	return time.Now()
+}
+
+// BareMarker: every function marker needs a justification.
+//
+//spawnvet:hotpath
+func BareMarker() int {
+	return 1
 }

@@ -39,7 +39,7 @@ func (e *Engine) helper(now int) {
 
 func box(v interface{}) {}
 
-//spawnvet:hotpath
+//spawnvet:hotpath fixture: entry point dispatched through an interface
 func (e *Engine) Step(now int) {
 	//spawnvet:allow hotpath fixture: amortized slow-path formatting
 	_ = fmt.Sprint(now)
@@ -58,7 +58,7 @@ func (e *Engine) Cycle(now int) string {
 // Account exercises the profile-accounting rule: the nil-safe
 // accumulators pass, report assembly inside the tick loop does not.
 //
-//spawnvet:hotpath
+//spawnvet:hotpath fixture: entry point dispatched through an interface
 func (e *Engine) Account(p *profile.Profile, now uint64) {
 	p.Note(profile.CompGMU, profile.StateBusy) // accumulator: not flagged
 	if p.SampleDue(now) {                      // accumulator: not flagged
@@ -70,4 +70,21 @@ func (e *Engine) Account(p *profile.Profile, now uint64) {
 // Cold is never reached from a root: nothing inside is flagged.
 func (e *Engine) Cold(now int) string {
 	return fmt.Sprintf("cold %d", now)
+}
+
+// Run hands the method value e.place to a dispatcher: place is hot
+// through the reference alone, without a direct call.
+func (e *Engine) Run(now int) {
+	dispatch(now, e.place)
+}
+
+// dispatch invokes whatever placement callback it is handed.
+func dispatch(now int, place func(int)) {
+	place(now)
+}
+
+// place is reached only as a method value.
+func (e *Engine) place(now int) {
+	seen := map[int]bool{now: true} // flagged: map literal per placement
+	_ = seen
 }

@@ -1,9 +1,9 @@
-// Package seedtaint is a spawnvet golden-test fixture for seed
-// provenance tracking.
+// Package seedtaint is a spawnvet golden-test fixture for seed provenance tracking.
 package seedtaint
 
 import (
 	"math/rand"
+	"os"
 	"time"
 )
 
@@ -64,4 +64,10 @@ func branchSplit(spec plan, fallback bool) {
 func suppressed() *rand.Rand {
 	//spawnvet:allow seedtaint fixture: fuzz corpus stream is intentionally unkeyed
 	return rand.New(rand.NewSource(7))
+}
+
+// pidSeeded seeds from the process id, which purity's ambient table
+// classifies as OS state: flagged.
+func pidSeeded() *rand.Rand {
+	return rand.New(rand.NewSource(int64(os.Getpid())))
 }

@@ -116,11 +116,11 @@ func sleepBackoff(ctx context.Context, base time.Duration, attempt int) {
 		d = 16 * base
 	}
 	if ctx == nil {
-		//spawnvet:allow purity retry backoff delays the next attempt; the attempt itself stays a pure function of its inputs
+		//spawnvet:allow determinism,purity retry backoff delays the next attempt; the attempt itself stays a pure function of its inputs
 		time.Sleep(d)
 		return
 	}
-	//spawnvet:allow purity cancellable retry backoff; the timer gates scheduling, never results
+	//spawnvet:allow determinism,purity cancellable retry backoff; the timer gates scheduling, never results
 	t := time.NewTimer(d)
 	defer t.Stop()
 	select {

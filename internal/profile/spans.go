@@ -79,8 +79,6 @@ type siteAgg struct {
 // KernelSubmitted event is emitted. The simulator calls this with the
 // parent kernel definition name (or "(host)") — a side channel, so the
 // trace event schema itself stays unchanged. Safe on a nil receiver.
-//
-//spawnvet:hotpath
 func (p *Profile) KernelSite(id int, site string, kind LaunchKind) {
 	if p == nil {
 		return
@@ -95,7 +93,7 @@ func (p *Profile) KernelSite(id int, site string, kind LaunchKind) {
 // also replay externally captured JSONL streams. Safe on a nil
 // receiver.
 //
-//spawnvet:hotpath
+//spawnvet:hotpath reached per trace event through the trace.Sink interface, which the call graph does not resolve
 func (p *Profile) Record(e trace.Event) {
 	if p == nil {
 		return

@@ -189,7 +189,8 @@ func NewCTA(k *Kernel, index, warpSize int) *CTA {
 			CTA:   c,
 			Index: w,
 			Lanes: lanes,
-			Prog:  d.NewProgram(index, w),
+			//spawnvet:allow hotpath Def.Validate rejects a nil NewProgram before any launch
+			Prog: d.NewProgram(index, w),
 		})
 	}
 	c.runningWarps = len(c.Warps)
