@@ -17,6 +17,7 @@ import (
 
 	"spawnsim/internal/config"
 	"spawnsim/internal/harness"
+	"spawnsim/internal/inputs"
 	"spawnsim/internal/stats"
 	"spawnsim/internal/workloads"
 )
@@ -25,8 +26,10 @@ import (
 // (GOMAXPROCS).
 var benchPool = &harness.Pool{}
 
-// BenchmarkTable1 materializes every Table I benchmark (inputs +
-// workload apps) and checks their work totals.
+// BenchmarkTable1 builds every Table I workload app and checks their
+// work totals. The registry builds each input once per process, so only
+// the first iteration generates inputs; BenchmarkInputs times the
+// generators themselves.
 func BenchmarkTable1(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for _, name := range workloads.Names() {
@@ -44,6 +47,38 @@ func BenchmarkTable1(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkInputs times each Table I input generator at the size and
+// seed the registry uses (internal/workloads/bench.go), with
+// allocations.
+func BenchmarkInputs(b *testing.B) {
+	gens := []struct {
+		name  string
+		build func() any
+	}{
+		{"Citation", func() any { return inputs.Citation(65536, 8, 101) }},
+		{"Graph500", func() any { return inputs.Graph500(16, 10, 102) }},
+		{"UniformRelation", func() any { return inputs.UniformRelation(32768, 48, 103) }},
+		{"GaussianRelation", func() any { return inputs.GaussianRelation(32768, 48, 14, 104) }},
+		{"MandelGrid", func() any { return inputs.NewMandelGrid(131072, 256) }},
+		{"SparseMatrix-small", func() any { return inputs.NewSparseMatrix(2048, 64, 8, 105) }},
+		{"SparseMatrix-large", func() any { return inputs.NewSparseMatrix(4096, 128, 10, 106) }},
+		{"ThalianaReads", func() any { return inputs.ThalianaReads(16384, 107) }},
+		{"ElegansReads", func() any { return inputs.ElegansReads(16384, 108) }},
+		{"AMRMesh", func() any { return inputs.NewAMRMesh(16384, 109) }},
+	}
+	for _, g := range gens {
+		b.Run(g.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				inputSink = g.build()
+			}
+		})
+	}
+}
+
+// inputSink keeps BenchmarkInputs' results live.
+var inputSink any
 
 // BenchmarkTable2 validates and renders the GPU configuration.
 func BenchmarkTable2(b *testing.B) {
@@ -225,6 +260,8 @@ func BenchmarkFig21(b *testing.B) {
 
 // BenchmarkSimulatorThroughput measures raw simulator speed (simulated
 // cycles per wall second) on one mid-size run, for performance tracking.
+// The Graph500 input is generated in the first iteration only; later
+// iterations time the simulation alone.
 func BenchmarkSimulatorThroughput(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		out, err := harness.Run(harness.Spec{Benchmark: "BFS-graph500", Scheme: harness.SchemeBaseline})

@@ -131,10 +131,11 @@ func (p Plan) Zero() bool {
 
 // Validate reports the first inconsistency. Window probabilities must
 // stay below 1 so every fault class leaves clear epochs and the machine
-// keeps making forward progress.
+// keeps making forward progress; NaN is rejected with the rest, since
+// no comparison holds for it and a plan holding one cannot be encoded.
 func (p Plan) Validate() error {
 	for k := Kind(0); k < numKinds; k++ {
-		if v := p.Prob(k); v < 0 || v >= 1 {
+		if v := p.Prob(k); !(v >= 0 && v < 1) {
 			return fmt.Errorf("faults: %s probability %v outside [0,1)", k, v)
 		}
 	}

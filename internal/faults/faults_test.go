@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"encoding/json"
 	"math"
 	"testing"
 )
@@ -170,6 +171,8 @@ func TestParseRejects(t *testing.T) {
 	for _, spec := range []string{
 		"bogus=1", "transit=0.1", "transit=x:10", "hwq=1.5", "dram=0.1",
 		"epoch=0", "hwq", "smx=1.0",
+		// Non-finite probabilities, one per clause.
+		"transit=nan:5", "hwq=NaN", "smx=NaN", "dram=NaN:3", "hwq=Inf", "smx=-Inf",
 	} {
 		if _, err := Parse(spec, 0); err == nil {
 			t.Errorf("Parse(%q) accepted", spec)
@@ -181,4 +184,55 @@ func TestValidateRejectsSaturatingWindows(t *testing.T) {
 	if err := (Plan{HWQStallProb: 1.0}).Validate(); err == nil {
 		t.Error("probability 1.0 accepted: would starve the machine forever")
 	}
+}
+
+// FuzzParse checks that every plan Parse accepts is valid, encodes to
+// JSON (the harness keys runs by it) and survives a String round trip.
+// Arguments are compared where they take effect: a delay or spike
+// amount under a zero probability, and the epoch spelled 0 or default,
+// change no injection.
+func FuzzParse(f *testing.F) {
+	for _, spec := range []string{
+		"", "mild", "none", "transit=0.1:2000", "hwq=0.02", "smx=0.01", "dram=0.05:200", "epoch=4096",
+		"transit=0.1:2000,hwq=0.02,smx=0.01,dram=0.05:200,epoch=4096", "hwq=NaN",
+	} {
+		f.Add(spec, uint64(7))
+	}
+	f.Fuzz(func(t *testing.T, spec string, seed uint64) {
+		p, err := Parse(spec, seed)
+		if err != nil {
+			return
+		}
+		if err := p.Validate(); err != nil {
+			t.Fatalf("Parse(%q) returned an invalid plan: %v", spec, err)
+		}
+		if _, err := json.Marshal(p); err != nil {
+			t.Fatalf("Parse(%q): plan does not encode: %v", spec, err)
+		}
+		q, err := Parse(p.String(), seed)
+		if err != nil {
+			t.Fatalf("Parse(%q) = %q, which does not parse: %v", spec, p.String(), err)
+		}
+		for k := Kind(0); k < numKinds; k++ {
+			if p.Prob(k) != q.Prob(k) {
+				t.Errorf("%s probability %v became %v through %q", k, p.Prob(k), q.Prob(k), p.String())
+			}
+		}
+		if p.LaunchDelayProb > 0 && p.LaunchDelayMax != q.LaunchDelayMax {
+			t.Errorf("max delay %d became %d through %q", p.LaunchDelayMax, q.LaunchDelayMax, p.String())
+		}
+		if p.DRAMSpikeProb > 0 && p.DRAMSpikeExtra != q.DRAMSpikeExtra {
+			t.Errorf("spike latency %d became %d through %q", p.DRAMSpikeExtra, q.DRAMSpikeExtra, p.String())
+		}
+		if epoch(p) != epoch(q) || p.Seed != q.Seed {
+			t.Errorf("plan %+v became %+v through %q", p, q, p.String())
+		}
+	})
+}
+
+func epoch(p Plan) uint64 {
+	if p.EpochCycles == 0 {
+		return DefaultEpochCycles
+	}
+	return p.EpochCycles
 }

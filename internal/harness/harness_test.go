@@ -6,7 +6,6 @@ import (
 
 	"spawnsim/internal/config"
 	"spawnsim/internal/runtime"
-	"spawnsim/internal/workloads"
 )
 
 func TestRunRejectsUnknown(t *testing.T) {
@@ -234,27 +233,6 @@ func TestOutcomeSummary(t *testing.T) {
 	s := out.Summary()
 	if !strings.Contains(s, "MM-small/dtbl") || !strings.Contains(s, "DTBL groups") {
 		t.Errorf("summary = %q", s)
-	}
-}
-
-func TestAllBenchmarksCompleteUnderEveryScheme(t *testing.T) {
-	if testing.Short() {
-		t.Skip("long: full benchmark x scheme matrix")
-	}
-	for _, b := range append(workloads.Names(), "SA-elegans") {
-		for _, s := range []string{SchemeFlat, SchemeBaseline, SchemeSpawn, SchemeDTBL} {
-			out, err := Run(Spec{Benchmark: b, Scheme: s})
-			if err != nil {
-				t.Errorf("%s/%s: %v", b, s, err)
-				continue
-			}
-			if out.Result.Cycles == 0 {
-				t.Errorf("%s/%s: zero cycles", b, s)
-			}
-			if out.Result.Occupancy <= 0 || out.Result.Occupancy > 1 {
-				t.Errorf("%s/%s: occupancy %v out of range", b, s, out.Result.Occupancy)
-			}
-		}
 	}
 }
 

@@ -9,8 +9,8 @@ import (
 // its arrays (4 bytes per element).
 type Graph struct {
 	N      int
-	RowPtr []int32 // length N+1
-	Adj    []int32 // length RowPtr[N]
+	rowPtr []int32 // length N+1
+	adj    []int32 // length rowPtr[N]
 
 	// Virtual base addresses.
 	RowPtrBase uint64
@@ -24,13 +24,20 @@ type Graph struct {
 }
 
 // Edges returns the edge count.
-func (g *Graph) Edges() int { return len(g.Adj) }
+func (g *Graph) Edges() int { return len(g.adj) }
+
+// RowPtr returns the CSR offset of v's first out-edge; RowPtr(N) is the
+// edge count.
+func (g *Graph) RowPtr(v int) int32 { return g.rowPtr[v] }
+
+// Adj returns the target of edge e, indexed in CSR order.
+func (g *Graph) Adj(e int) int32 { return g.adj[e] }
 
 // Degree returns the out-degree of v.
-func (g *Graph) Degree(v int) int { return int(g.RowPtr[v+1] - g.RowPtr[v]) }
+func (g *Graph) Degree(v int) int { return int(g.rowPtr[v+1] - g.rowPtr[v]) }
 
 // Neighbor returns the j-th neighbor of v.
-func (g *Graph) Neighbor(v, j int) int32 { return g.Adj[g.RowPtr[v]+int32(j)] }
+func (g *Graph) Neighbor(v, j int) int32 { return g.adj[g.rowPtr[v]+int32(j)] }
 
 // MaxDegree returns the largest out-degree.
 func (g *Graph) MaxDegree() int {
@@ -47,26 +54,26 @@ func (g *Graph) MaxDegree() int {
 func layoutGraph(g *Graph) {
 	l := NewLayout()
 	g.RowPtrBase = l.Alloc(4 * (g.N + 1))
-	g.AdjBase = l.Alloc(4 * len(g.Adj))
+	g.AdjBase = l.Alloc(4 * len(g.adj))
 	g.PropBase = l.Alloc(4 * g.N)
 	g.Prop2Base = l.Alloc(4 * g.N)
-	g.EdgeWBase = l.Alloc(4 * len(g.Adj))
+	g.EdgeWBase = l.Alloc(4 * len(g.adj))
 }
 
 // fromDegrees builds a CSR graph with the given out-degrees and
 // uniformly random edge targets.
 func fromDegrees(deg []int, rng *rand.Rand) *Graph {
 	n := len(deg)
-	g := &Graph{N: n, RowPtr: make([]int32, n+1)}
+	g := &Graph{N: n, rowPtr: make([]int32, n+1)}
 	total := 0
 	for v, d := range deg {
-		g.RowPtr[v] = int32(total)
+		g.rowPtr[v] = int32(total)
 		total += d
 	}
-	g.RowPtr[n] = int32(total)
-	g.Adj = make([]int32, total)
-	for i := range g.Adj {
-		g.Adj[i] = int32(rng.Intn(n))
+	g.rowPtr[n] = int32(total)
+	g.adj = make([]int32, total)
+	for i := range g.adj {
+		g.adj[i] = int32(rng.Intn(n))
 	}
 	layoutGraph(g)
 	return g
@@ -145,18 +152,18 @@ func Graph500(scale, edgeFactor int, seed int64) *Graph {
 		dst[e] = int32(v)
 		deg[u]++
 	}
-	g := &Graph{N: n, RowPtr: make([]int32, n+1)}
+	g := &Graph{N: n, rowPtr: make([]int32, n+1)}
 	total := 0
 	for v := 0; v < n; v++ {
-		g.RowPtr[v] = int32(total)
+		g.rowPtr[v] = int32(total)
 		total += deg[v]
 	}
-	g.RowPtr[n] = int32(total)
-	g.Adj = make([]int32, total)
+	g.rowPtr[n] = int32(total)
+	g.adj = make([]int32, total)
 	fill := make([]int32, n)
 	for e := 0; e < m; e++ {
 		u := src[e]
-		g.Adj[g.RowPtr[u]+fill[u]] = dst[e]
+		g.adj[g.rowPtr[u]+fill[u]] = dst[e]
 		fill[u]++
 	}
 	layoutGraph(g)

@@ -49,18 +49,18 @@ func TestCitationDeterministicAndSkewed(t *testing.T) {
 
 func TestCitationCSRConsistency(t *testing.T) {
 	g := Citation(500, 6, 7)
-	if len(g.RowPtr) != g.N+1 {
-		t.Fatalf("RowPtr length %d", len(g.RowPtr))
+	if len(g.rowPtr) != g.N+1 {
+		t.Fatalf("RowPtr length %d", len(g.rowPtr))
 	}
 	for v := 0; v < g.N; v++ {
-		if g.RowPtr[v] > g.RowPtr[v+1] {
+		if g.rowPtr[v] > g.rowPtr[v+1] {
 			t.Fatalf("RowPtr not monotone at %d", v)
 		}
 	}
-	if int(g.RowPtr[g.N]) != len(g.Adj) {
-		t.Fatalf("RowPtr[N]=%d != len(Adj)=%d", g.RowPtr[g.N], len(g.Adj))
+	if int(g.rowPtr[g.N]) != len(g.adj) {
+		t.Fatalf("RowPtr[N]=%d != len(Adj)=%d", g.rowPtr[g.N], len(g.adj))
 	}
-	for _, u := range g.Adj {
+	for _, u := range g.adj {
 		if u < 0 || int(u) >= g.N {
 			t.Fatalf("edge target %d out of range", u)
 		}
@@ -100,7 +100,7 @@ func TestGraph500Shape(t *testing.T) {
 
 func TestUniformRelationBalanced(t *testing.T) {
 	r := UniformRelation(1000, 50, 3)
-	for i, m := range r.Matches {
+	for i, m := range r.matches {
 		if m < 49-1 || m > 51 {
 			t.Fatalf("tuple %d has %d matches, want ~50", i, m)
 		}
@@ -110,11 +110,11 @@ func TestUniformRelationBalanced(t *testing.T) {
 func TestGaussianRelationSpread(t *testing.T) {
 	r := GaussianRelation(5000, 60, 25, 3)
 	mean, varsum := 0.0, 0.0
-	for _, m := range r.Matches {
+	for _, m := range r.matches {
 		mean += float64(m)
 	}
 	mean /= float64(r.N)
-	for _, m := range r.Matches {
+	for _, m := range r.matches {
 		d := float64(m) - mean
 		varsum += d * d
 	}
@@ -131,7 +131,7 @@ func TestSparseMatrixSkewAndCSR(t *testing.T) {
 	m := NewSparseMatrix(1000, 64, 12, 9)
 	total := 0
 	maxN := 0
-	for i, v := range m.NNZ {
+	for i, v := range m.nnz {
 		if v < 0 {
 			t.Fatalf("negative nnz at %d", i)
 		}
@@ -140,8 +140,8 @@ func TestSparseMatrixSkewAndCSR(t *testing.T) {
 			maxN = v
 		}
 	}
-	if len(m.ColIdx) != total {
-		t.Fatalf("ColIdx length %d != nnz total %d", len(m.ColIdx), total)
+	if len(m.colIdx) != total {
+		t.Fatalf("ColIdx length %d != nnz total %d", len(m.colIdx), total)
 	}
 	if float64(maxN) < 4*float64(total)/float64(m.Rows) {
 		t.Errorf("max nnz %d vs mean %.1f: not skewed", maxN, float64(total)/float64(m.Rows))
@@ -149,14 +149,14 @@ func TestSparseMatrixSkewAndCSR(t *testing.T) {
 	if m.RowStart(0) != 0 {
 		t.Error("RowStart(0) != 0")
 	}
-	if int(m.RowStart(m.Rows-1))+m.NNZ[m.Rows-1] != total {
+	if int(m.RowStart(m.Rows-1))+m.nnz[m.Rows-1] != total {
 		t.Error("last row does not end at nnz total")
 	}
 }
 
 func TestReadsHeavyTail(t *testing.T) {
 	r := ThalianaReads(4000, 5)
-	sorted := append([]int(nil), r.Candidates...)
+	sorted := append([]int(nil), r.candidates...)
 	sort.Ints(sorted)
 	median := sorted[len(sorted)/2]
 	p99 := sorted[len(sorted)*99/100]
@@ -172,7 +172,7 @@ func TestReadsHeavyTail(t *testing.T) {
 func TestAMRMeshFronts(t *testing.T) {
 	m := NewAMRMesh(4096, 11)
 	zero, heavy := 0, 0
-	for _, r := range m.Refine {
+	for _, r := range m.refine {
 		if r == 0 {
 			zero++
 		}
@@ -191,7 +191,7 @@ func TestAMRMeshFronts(t *testing.T) {
 func TestMandelGridBoundary(t *testing.T) {
 	g := NewMandelGrid(4096, 512)
 	inSet, fast := 0, 0
-	for _, it := range g.Iters {
+	for _, it := range g.iters {
 		if it == g.MaxIter {
 			inSet++
 		}
@@ -213,23 +213,23 @@ func TestGeneratorsWellFormedProperty(t *testing.T) {
 	f := func(nRaw uint8, seed int64) bool {
 		n := int(nRaw)%500 + 10
 		g := Citation(n, 4, seed)
-		if g.N != n || len(g.RowPtr) != n+1 {
+		if g.N != n || len(g.rowPtr) != n+1 {
 			return false
 		}
 		r := GaussianRelation(n, 10, 5, seed)
-		for _, m := range r.Matches {
+		for _, m := range r.matches {
 			if m < 0 {
 				return false
 			}
 		}
 		sm := NewSparseMatrix(n, 16, 6, seed)
-		for _, v := range sm.NNZ {
+		for _, v := range sm.nnz {
 			if v < 0 {
 				return false
 			}
 		}
 		rd := ThalianaReads(n, seed)
-		for _, c := range rd.Candidates {
+		for _, c := range rd.candidates {
 			if c < 1 {
 				return false
 			}

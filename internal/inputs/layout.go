@@ -2,7 +2,9 @@
 // paper's inputs (Table I): power-law "citation" graphs, Graph500 R-MAT
 // graphs, uniform and Gaussian join relations, sparse matrices, sequence
 // reads with heavy-tailed candidate counts, and AMR meshes. Every
-// generator is seeded and deterministic.
+// generator is seeded and deterministic, and every input is read-only
+// once built: its arrays are unexported behind read accessors, so one
+// input can be shared by many runs without any run changing it.
 //
 // Each dataset also carries a virtual-memory layout: its arrays are
 // assigned base addresses in the simulated address space so workloads

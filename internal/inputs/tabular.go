@@ -6,10 +6,10 @@ import (
 )
 
 // Relation models the probe side of a hash join: tuple i of the outer
-// relation R matches Matches[i] tuples of the inner relation S.
+// relation R matches Matches(i) tuples of the inner relation S.
 type Relation struct {
 	N       int
-	Matches []int
+	matches []int
 
 	RBase   uint64 // outer tuples
 	SBase   uint64 // inner tuples (match targets)
@@ -17,13 +17,16 @@ type Relation struct {
 	SSize   int    // inner-relation cardinality (address range of SBase)
 }
 
+// Matches returns how many inner tuples outer tuple i matches.
+func (r *Relation) Matches(i int) int { return r.matches[i] }
+
 func layoutRelation(r *Relation, sSize int) {
 	l := NewLayout()
 	r.RBase = l.Alloc(8 * r.N)
 	r.SSize = sSize
 	r.SBase = l.Alloc(8 * sSize)
 	total := 0
-	for _, m := range r.Matches {
+	for _, m := range r.matches {
 		total += m
 	}
 	r.OutBase = l.Alloc(8 * (total + 1))
@@ -35,12 +38,12 @@ func layoutRelation(r *Relation, sSize int) {
 // children at all.
 func UniformRelation(n, matches int, seed int64) *Relation {
 	rng := rand.New(rand.NewSource(seed))
-	r := &Relation{N: n, Matches: make([]int, n)}
-	for i := range r.Matches {
+	r := &Relation{N: n, matches: make([]int, n)}
+	for i := range r.matches {
 		// +/-1 jitter keeps it realistic without creating imbalance.
-		r.Matches[i] = matches + rng.Intn(3) - 1
-		if r.Matches[i] < 0 {
-			r.Matches[i] = 0
+		r.matches[i] = matches + rng.Intn(3) - 1
+		if r.matches[i] < 0 {
+			r.matches[i] = 0
 		}
 	}
 	layoutRelation(r, n*matches/4+16)
@@ -52,35 +55,41 @@ func UniformRelation(n, matches int, seed int64) *Relation {
 // imbalance with a long-ish right tail.
 func GaussianRelation(n int, mean, sd float64, seed int64) *Relation {
 	rng := rand.New(rand.NewSource(seed))
-	r := &Relation{N: n, Matches: make([]int, n)}
-	for i := range r.Matches {
+	r := &Relation{N: n, matches: make([]int, n)}
+	for i := range r.matches {
 		m := int(math.Round(rng.NormFloat64()*sd + mean))
 		if m < 0 {
 			m = 0
 		}
-		r.Matches[i] = m
+		r.matches[i] = m
 	}
 	layoutRelation(r, int(float64(n)*mean/4)+16)
 	return r
 }
 
 // SparseMatrix is a CSR sparse matrix times a dense multiplier: parent
-// thread i owns row i (NNZ[i] non-zeros); the DP child kernel spawns one
+// thread i owns row i (NNZ(i) non-zeros); the DP child kernel spawns one
 // thread per multiplier column, each computing one dot product of
-// NNZ[i] multiply-adds (the paper's MM structure).
+// NNZ(i) multiply-adds (the paper's MM structure).
 type SparseMatrix struct {
 	Rows int
 	Cols int // multiplier columns (child kernel width)
-	NNZ  []int
+	nnz  []int
 
 	RowPtrBase uint64
 	ColIdxBase uint64
 	ValBase    uint64
 	DenseBase  uint64
 	OutBase    uint64
-	ColIdx     []int32 // column index of each stored element
+	colIdx     []int32 // column index of each stored element
 	rowPtr     []int32
 }
+
+// NNZ returns the non-zero count of row r.
+func (m *SparseMatrix) NNZ(r int) int { return m.nnz[r] }
+
+// ColIdx returns the column index of stored element e, in CSR order.
+func (m *SparseMatrix) ColIdx(e int) int32 { return m.colIdx[e] }
 
 // RowStart returns the CSR offset of row r's first element.
 func (m *SparseMatrix) RowStart(r int) int32 { return m.rowPtr[r] }
@@ -96,28 +105,28 @@ func NewSparseMatrix(rows, cols, avgNNZ int, seed int64) *SparseMatrix {
 	if xm < 1 {
 		xm = 1
 	}
-	m := &SparseMatrix{Rows: rows, Cols: cols, NNZ: make([]int, rows)}
+	m := &SparseMatrix{Rows: rows, Cols: cols, nnz: make([]int, rows)}
 	total := 0
 	maxNNZ := 12 * avgNNZ
-	for i := range m.NNZ {
+	for i := range m.nnz {
 		u := rng.Float64()
 		v := int(xm * math.Pow(1-u, -1/alpha))
 		if v > maxNNZ {
 			v = maxNNZ
 		}
-		m.NNZ[i] = v
+		m.nnz[i] = v
 		total += v
 	}
 	m.rowPtr = make([]int32, rows+1)
 	acc := int32(0)
-	for i, v := range m.NNZ {
+	for i, v := range m.nnz {
 		m.rowPtr[i] = acc
 		acc += int32(v)
 	}
 	m.rowPtr[rows] = acc
-	m.ColIdx = make([]int32, total)
-	for i := range m.ColIdx {
-		m.ColIdx[i] = int32(rng.Intn(rows))
+	m.colIdx = make([]int32, total)
+	for i := range m.colIdx {
+		m.colIdx[i] = int32(rng.Intn(rows))
 	}
 	l := NewLayout()
 	m.RowPtrBase = l.Alloc(4 * (rows + 1))
@@ -129,12 +138,12 @@ func NewSparseMatrix(rows, cols, avgNNZ int, seed int64) *SparseMatrix {
 }
 
 // Reads models a set of sequencing reads for the SA (sequence
-// alignment) application: read i has Candidates[i] candidate locations
+// alignment) application: read i has Candidates(i) candidate locations
 // in the reference index; each candidate costs MatchIters inner
 // comparison iterations.
 type Reads struct {
 	N          int
-	Candidates []int
+	candidates []int
 	MatchIters int // per-candidate verification iterations (read length / word)
 
 	ReadBase  uint64
@@ -144,14 +153,17 @@ type Reads struct {
 	RefSize   int
 }
 
+// Candidates returns the candidate reference locations of read i.
+func (r *Reads) Candidates(i int) int { return r.candidates[i] }
+
 // readsProfile generates heavy-tailed candidate counts via a lognormal
 // distribution, the empirical shape of seed-and-extend mappers: most
 // reads have a handful of candidates, repeats have thousands.
 func readsProfile(n int, mu, sigma float64, matchIters int, seed int64) *Reads {
 	rng := rand.New(rand.NewSource(seed))
-	r := &Reads{N: n, Candidates: make([]int, n), MatchIters: matchIters}
+	r := &Reads{N: n, candidates: make([]int, n), MatchIters: matchIters}
 	maxC := 1 << 14
-	for i := range r.Candidates {
+	for i := range r.candidates {
 		c := int(math.Exp(rng.NormFloat64()*sigma + mu))
 		if c < 1 {
 			c = 1
@@ -159,7 +171,7 @@ func readsProfile(n int, mu, sigma float64, matchIters int, seed int64) *Reads {
 		if c > maxC {
 			c = maxC
 		}
-		r.Candidates[i] = c
+		r.candidates[i] = c
 	}
 	l := NewLayout()
 	r.ReadBase = l.Alloc(64 * n)
@@ -179,12 +191,12 @@ func ThalianaReads(n int, seed int64) *Reads { return readsProfile(n, 2.4, 1.4, 
 func ElegansReads(n int, seed int64) *Reads { return readsProfile(n, 2.2, 1.1, 8, seed) }
 
 // AMRMesh models one refinement step of a combustion adaptive-mesh
-// simulation: cell i needs Refine[i] sub-cells; sub-cell (i,j) may need
+// simulation: cell i needs Refine(i) sub-cells; sub-cell (i,j) may need
 // SubRefine more levels of nested refinement when the local "flame
 // front" intensity is high (driving the paper's nested child launches).
 type AMRMesh struct {
 	N      int
-	Refine []int
+	refine []int
 	// SubFrac is the fraction of sub-cells that refine one level deeper;
 	// SubWork is the work items of such a nested refinement.
 	SubFrac float64
@@ -195,25 +207,28 @@ type AMRMesh struct {
 	OutBase  uint64
 }
 
+// Refine returns the sub-cell count of cell i.
+func (m *AMRMesh) Refine(i int) int { return m.refine[i] }
+
 // NewAMRMesh generates a mesh whose refinement demand follows a smooth
 // intensity field with sharp fronts: a minority of cells refine heavily.
 func NewAMRMesh(n int, seed int64) *AMRMesh {
 	rng := rand.New(rand.NewSource(seed))
-	m := &AMRMesh{N: n, Refine: make([]int, n), SubFrac: 0.125, SubWork: 16}
+	m := &AMRMesh{N: n, refine: make([]int, n), SubFrac: 0.125, SubWork: 16}
 	// Intensity field: sum of a few random Gaussian bumps over [0,1).
 	type bump struct{ c, w, h float64 }
 	bumps := make([]bump, 6)
 	for i := range bumps {
 		bumps[i] = bump{c: rng.Float64(), w: 0.01 + rng.Float64()*0.05, h: 20 + rng.Float64()*120}
 	}
-	for i := range m.Refine {
+	for i := range m.refine {
 		x := float64(i) / float64(n)
 		v := 0.0
 		for _, b := range bumps {
 			d := (x - b.c) / b.w
 			v += b.h * math.Exp(-d*d)
 		}
-		m.Refine[i] = int(v)
+		m.refine[i] = int(v)
 	}
 	l := NewLayout()
 	m.CellBase = l.Alloc(32 * n)
@@ -223,25 +238,28 @@ func NewAMRMesh(n int, seed int64) *AMRMesh {
 }
 
 // MandelGrid models the Mandelbrot benchmark: pixel block i needs
-// Iters[i] escape-time iterations, computed from the actual Mandelbrot
+// Iters(i) escape-time iterations, computed from the actual Mandelbrot
 // recurrence over a region crossing the set boundary (the classic
 // source of extreme workload imbalance).
 type MandelGrid struct {
 	N       int
-	Iters   []int
+	iters   []int
 	MaxIter int
 
 	OutBase uint64
 }
 
+// Iters returns the escape-time iteration count of pixel block i.
+func (g *MandelGrid) Iters(i int) int { return g.iters[i] }
+
 // NewMandelGrid samples an n-block strip across the seahorse valley.
 func NewMandelGrid(n, maxIter int) *MandelGrid {
-	g := &MandelGrid{N: n, Iters: make([]int, n), MaxIter: maxIter}
+	g := &MandelGrid{N: n, iters: make([]int, n), MaxIter: maxIter}
 	side := int(math.Sqrt(float64(n)))
 	if side < 1 {
 		side = 1
 	}
-	for i := range g.Iters {
+	for i := range g.iters {
 		px, py := i%side, i/side
 		cr := -0.78 + 0.06*float64(px)/float64(side)
 		ci := 0.10 + 0.06*float64(py)/float64(side)
@@ -250,7 +268,7 @@ func NewMandelGrid(n, maxIter int) *MandelGrid {
 		for ; it < maxIter && zr*zr+zi*zi < 4; it++ {
 			zr, zi = zr*zr-zi*zi+cr, 2*zr*zi+ci
 		}
-		g.Iters[i] = it
+		g.iters[i] = it
 	}
 	l := NewLayout()
 	g.OutBase = l.Alloc(4 * n)

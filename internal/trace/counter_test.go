@@ -124,3 +124,18 @@ func TestParseKind(t *testing.T) {
 		t.Error("ParseKind accepted the empty string")
 	}
 }
+
+// FuzzParseKind checks that ParseKind accepts only the exact spellings
+// Kind.String emits.
+func FuzzParseKind(f *testing.F) {
+	for k := Kind(0); k <= FaultInjected; k++ {
+		f.Add(k.String())
+	}
+	f.Add("kind(99)")
+	f.Add("")
+	f.Fuzz(func(t *testing.T, s string) {
+		if k, ok := ParseKind(s); ok && k.String() != s {
+			t.Errorf("ParseKind(%q) = %v, which prints as %q", s, k, k.String())
+		}
+	})
+}

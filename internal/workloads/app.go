@@ -126,7 +126,7 @@ func (a *App) Normalize() error {
 	if a.RegsParent == 0 {
 		// Parent kernels are register-heavy (40 regs x 256 threads =
 		// 10240 regs/CTA -> 6 CTAs per 65536-register SMX): parents
-		// occupy ~75%% of thread slots, leaving room for child CTAs to
+		// occupy ~75% of thread slots, leaving room for child CTAs to
 		// co-execute from the start, as in the paper's Figure 6.
 		a.RegsParent = 40
 	}

@@ -93,7 +93,7 @@ func TestJoinOutputOffsetsDense(t *testing.T) {
 	// Output addresses of consecutive (tuple, match) pairs never collide.
 	seen := map[uint64]bool{}
 	for p := 0; p < r.N; p++ {
-		for j := 0; j < r.Matches[p]; j++ {
+		for j := 0; j < r.Matches(p); j++ {
 			a := app.Ops.Addr(p, j, 0, 1) // store slot
 			if seen[a] {
 				t.Fatalf("output address %#x reused", a)
@@ -116,10 +116,10 @@ func TestMMInnerIterationsFollowNNZ(t *testing.T) {
 	app := NewMM(m)
 	app.Normalize()
 	for p := 0; p < 16; p++ {
-		if got := app.Ops.Inner(p, 0); got != m.NNZ[p] {
-			t.Errorf("row %d inner = %d, want nnz %d", p, got, m.NNZ[p])
+		if got := app.Ops.Inner(p, 0); got != m.NNZ(p) {
+			t.Errorf("row %d inner = %d, want nnz %d", p, got, m.NNZ(p))
 		}
-		if got, want := app.Metric(p), m.NNZ[p]*m.Cols; got != want {
+		if got, want := app.Metric(p), m.NNZ(p)*m.Cols; got != want {
 			t.Errorf("row %d metric = %d, want %d", p, got, want)
 		}
 		if got := app.Items(p); got != m.Cols {
@@ -148,8 +148,8 @@ func TestSAInnerIterationsAreMatchIters(t *testing.T) {
 	if got := app.Ops.Inner(0, 0); got != r.MatchIters {
 		t.Errorf("SA inner = %d, want %d", got, r.MatchIters)
 	}
-	if got := app.Items(5); got != r.Candidates[5] {
-		t.Errorf("SA items = %d, want %d", got, r.Candidates[5])
+	if got := app.Items(5); got != r.Candidates(5) {
+		t.Errorf("SA items = %d, want %d", got, r.Candidates(5))
 	}
 }
 
@@ -163,7 +163,7 @@ func TestMandelMetricSumsIterations(t *testing.T) {
 	for p := 0; p < app.Elements; p++ {
 		sum := 0
 		for j := 0; j < 32; j++ {
-			sum += g.Iters[p*32+j]
+			sum += g.Iters(p*32 + j)
 		}
 		if got := app.Metric(p); got != sum {
 			t.Errorf("region %d metric = %d, want %d", p, got, sum)

@@ -23,14 +23,14 @@ func NewBFS(g *inputs.Graph) *App {
 			Loads:  2,
 			Stores: 1,
 			Addr: func(p, j, it, slot int) uint64 {
-				e := int(g.RowPtr[p]) + j
+				e := int(g.RowPtr(p)) + j
 				switch slot {
 				case 0: // adjacency entry (streamed)
 					return g.AdjBase + uint64(4*e)
 				case 1: // neighbor's visited flag (scattered)
-					return g.PropBase + uint64(4*g.Adj[e])
+					return g.PropBase + uint64(4*g.Adj(e))
 				default: // distance/frontier update
-					return g.Prop2Base + uint64(4*g.Adj[e])
+					return g.Prop2Base + uint64(4*g.Adj(e))
 				}
 			},
 		},
@@ -55,16 +55,16 @@ func NewSSSP(g *inputs.Graph) *App {
 			Loads:  3,
 			Stores: 1,
 			Addr: func(p, j, it, slot int) uint64 {
-				e := int(g.RowPtr[p]) + j
+				e := int(g.RowPtr(p)) + j
 				switch slot {
 				case 0: // adjacency entry
 					return g.AdjBase + uint64(4*e)
 				case 1: // edge weight (streamed alongside)
 					return g.EdgeWBase + uint64(4*e)
 				case 2: // neighbor's current distance (scattered)
-					return g.PropBase + uint64(4*g.Adj[e])
+					return g.PropBase + uint64(4*g.Adj(e))
 				default: // relaxed distance write
-					return g.PropBase + uint64(4*g.Adj[e])
+					return g.PropBase + uint64(4*g.Adj(e))
 				}
 			},
 		},
@@ -90,12 +90,12 @@ func NewGC(g *inputs.Graph) *App {
 			Loads:  2,
 			Stores: 0,
 			Addr: func(p, j, it, slot int) uint64 {
-				e := int(g.RowPtr[p]) + j
+				e := int(g.RowPtr(p)) + j
 				if slot == 0 { // adjacency entry
 					return g.AdjBase + uint64(4*e)
 				}
 				// neighbor's color
-				return g.PropBase + uint64(4*g.Adj[e])
+				return g.PropBase + uint64(4*g.Adj(e))
 			},
 			FinalStores: 1,
 			FinalAddr: func(p, j, slot int) uint64 {

@@ -3,25 +3,21 @@ package workloads
 import "spawnsim/internal/inputs"
 
 // NewJoin builds the relational-join application: parent thread p owns
-// outer tuple p; its items are the Matches[p] inner-relation probes.
+// outer tuple p; its items are the Matches(p) inner-relation probes.
 // Each probe loads the inner tuple (hash-scattered) and appends one
 // output row. Output offsets are exclusive-prefix-summed so writes are
 // dense and conflict-free.
 func NewJoin(name string, r *inputs.Relation) *App {
 	outStart := make([]int, r.N+1)
-	for i, m := range r.Matches {
-		outStart[i+1] = outStart[i] + m
+	for i := 0; i < r.N; i++ {
+		outStart[i+1] = outStart[i] + r.Matches(i)
 	}
-	items := func(p int) int { return r.Matches[p] }
 	// Baseline-DP joins offload tuples with above-average match counts.
-	sum := 0
-	for _, m := range r.Matches {
-		sum += m
-	}
+	sum := outStart[r.N]
 	return &App{
 		Name:             name,
 		Elements:         r.N,
-		Items:            items,
+		Items:            r.Matches,
 		DefaultThreshold: sum / r.N,
 		SetupLoads:       1, // the outer tuple
 		SetupAddr: func(p, slot int) uint64 {
@@ -48,15 +44,15 @@ func NewJoin(name string, r *inputs.Relation) *App {
 
 // NewMM builds the sparse-row matrix multiply: parent thread p owns row
 // p of the multiplicand; a child kernel spawns one thread per multiplier
-// column, each computing a dot product of NNZ[p] multiply-adds (loads of
+// column, each computing a dot product of NNZ(p) multiply-adds (loads of
 // the stored element and the dense multiplier entry it selects). The
-// workload metric is NNZ[p]*Cols — the total serialized work of row p.
+// workload metric is NNZ(p)*Cols — the total serialized work of row p.
 func NewMM(m *inputs.SparseMatrix) *App {
 	return &App{
 		Name:     "mm",
 		Elements: m.Rows,
 		Items:    func(p int) int { return m.Cols },
-		Metric:   func(p int) int { return m.NNZ[p] * m.Cols },
+		Metric:   func(p int) int { return m.NNZ(p) * m.Cols },
 		// One child per row with Cols threads: few, heavyweight kernels.
 		ChildCTASize:     64,
 		DefaultThreshold: 0, // MM offloads aggressively by default
@@ -65,7 +61,7 @@ func NewMM(m *inputs.SparseMatrix) *App {
 			return m.RowPtrBase + uint64(4*(p+slot))
 		},
 		Ops: ItemOps{
-			Inner:  func(p, j int) int { return m.NNZ[p] },
+			Inner:  func(p, j int) int { return m.NNZ(p) },
 			ALULat: 4,
 			Loads:  2,
 			Stores: 0,
@@ -74,8 +70,8 @@ func NewMM(m *inputs.SparseMatrix) *App {
 				if slot == 0 { // stored element (value stream of row p)
 					return m.ValBase + uint64(4*e)
 				}
-				// dense multiplier element B[ColIdx[e]][j]
-				return m.DenseBase + uint64(4*(int(m.ColIdx[e])*m.Cols+j))
+				// dense multiplier element B[ColIdx(e)][j]
+				return m.DenseBase + uint64(4*(int(m.ColIdx(e))*m.Cols+j))
 			},
 			FinalStores: 1,
 			FinalAddr: func(p, j, slot int) uint64 {
@@ -94,7 +90,7 @@ func NewSA(name string, r *inputs.Reads) *App {
 		Name:             name,
 		Elements:         r.N,
 		Section:          4,
-		Items:            func(p int) int { return r.Candidates[p] },
+		Items:            r.Candidates,
 		DefaultThreshold: 8,
 		SetupLoads:       1, // the candidate list head
 		SetupAddr: func(p, slot int) uint64 {
@@ -129,7 +125,7 @@ func NewSA(name string, r *inputs.Reads) *App {
 // regions from fast-escaping ones.
 func NewMandel(g *inputs.MandelGrid, pixelsPerRegion int) *App {
 	regions := g.N / pixelsPerRegion
-	pixIters := func(p, j int) int { return g.Iters[(p*pixelsPerRegion+j)%g.N] }
+	pixIters := func(p, j int) int { return g.Iters((p*pixelsPerRegion + j) % g.N) }
 	metric := make([]int, regions)
 	for p := 0; p < regions; p++ {
 		for j := 0; j < pixelsPerRegion; j++ {
@@ -158,7 +154,7 @@ func NewMandel(g *inputs.MandelGrid, pixelsPerRegion int) *App {
 }
 
 // NewAMR builds the adaptive-mesh-refinement application with nested
-// dynamic parallelism: parent thread p owns cell p and refines Refine[p]
+// dynamic parallelism: parent thread p owns cell p and refines Refine(p)
 // sub-cells; every 8th sub-cell sits on the flame front and spawns a
 // nested (grandchild) refinement of SubWork items.
 func NewAMR(m *inputs.AMRMesh) *App {
@@ -167,7 +163,7 @@ func NewAMR(m *inputs.AMRMesh) *App {
 		Name:             "amr",
 		Elements:         m.N,
 		Section:          2,
-		Items:            func(p int) int { return m.Refine[p] },
+		Items:            m.Refine,
 		DefaultThreshold: 4,
 		SetupLoads:       1, // the cell record
 		SetupAddr: func(p, slot int) uint64 {
