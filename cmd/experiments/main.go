@@ -45,11 +45,9 @@ func main() {
 		chaosSeed = flag.Uint64("chaos-seed", 0, "seed selecting the concrete fault schedule for -chaos-plan")
 		retries   = flag.Int("retries", 0, "retry transient chaos-run failures up to N times under derived seeds")
 
-		resume       = flag.String("resume", "", "checkpoint directory: completed runs are stored in <dir>/store and journaled to <dir>/journal.jsonl; re-invoking with the same flags replays finished sweep points and re-runs only the missing ones")
-		tolerate     = flag.Bool("tolerate", false, "degrade gracefully when a run's retry budget is exhausted: keep its partial result with the failure quarantined instead of failing the sweep")
-		stallWindow  = flag.Uint64("stall-window", 0, "abort a run that makes no simulated progress for N scheduler steps (livelock watchdog; 0 = off)")
-		stallTimeout = flag.Duration("stall-timeout", 0, "abort a run that delivers no heartbeat for this long in wall time (0 = off)")
-		retryBackoff = flag.Duration("retry-backoff", 0, "base wall-clock delay before each retry, doubling per attempt capped at 16x (0 = none)")
+		resume      = flag.String("resume", "", "checkpoint directory: completed runs are stored in <dir>/store and journaled to <dir>/journal.jsonl; re-invoking with the same flags replays finished sweep points and re-runs only the missing ones")
+		tolerate    = flag.Bool("tolerate", false, "degrade gracefully when a run's retry budget is exhausted: keep its partial result with the failure quarantined instead of failing the sweep")
+		stallWindow = flag.Uint64("stall-window", 0, "abort a run that makes no simulated progress for N scheduler steps (livelock watchdog; 0 = off)")
 	)
 	flag.Parse()
 
@@ -82,8 +80,6 @@ func main() {
 			s.Retries = *retries
 			s.Tolerate = *tolerate
 			s.StallWindow = *stallWindow
-			s.StallTimeout = *stallTimeout
-			s.RetryBackoff = *retryBackoff
 			if plan != nil && s.FaultPlan == nil {
 				s.FaultPlan = plan
 			}
@@ -227,17 +223,21 @@ func run(pool *harness.Pool, id, bench, csvDir string) error {
 	case "table2":
 		fmt.Println(config.K20m().TableII())
 	case "fig5":
-		names := workloads.Names()
-		if bench != "" {
-			names = []string{bench}
+		var rs []*harness.Fig5Result
+		var err error
+		if bench == "" {
+			rs, err = pool.Fig5All()
+		} else {
+			var r *harness.Fig5Result
+			r, err = pool.Fig5(bench)
+			rs = []*harness.Fig5Result{r}
 		}
-		for _, n := range names {
-			r, err := pool.Fig5(n)
-			if err != nil {
-				return err
-			}
+		if err != nil {
+			return err
+		}
+		for _, r := range rs {
 			fmt.Print(r.Render())
-			if f, err := csvOut(csvDir, "fig5-"+n); err != nil {
+			if f, err := csvOut(csvDir, "fig5-"+r.Benchmark); err != nil {
 				return err
 			} else if f != nil {
 				err := r.WriteCSV(f)

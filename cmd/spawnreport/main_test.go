@@ -3,12 +3,14 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 
 	"spawnsim/internal/faults"
 	"spawnsim/internal/harness"
 	"spawnsim/internal/profile"
+	"spawnsim/internal/trace"
 )
 
 // chaosSpec is a fixed-seed chaos-enabled profiled spec: the same shape
@@ -85,6 +87,90 @@ func TestIngestTrace(t *testing.T) {
 	if _, err := ingestTrace(strings.NewReader("{not json}\n"), profile.Options{}); err == nil {
 		t.Error("malformed JSONL did not error")
 	}
+}
+
+// TestIngestBackwardsStageIsAnomaly is the regression test for stage
+// edges that run backwards in time: an arrival before its submission
+// used to wrap the transit time around uint64 instead of counting as an
+// anomaly.
+func TestIngestBackwardsStageIsAnomaly(t *testing.T) {
+	stream := strings.Join([]string{
+		`{"cycle":100,"kind":"kernel-submitted","kernel":1,"cta":-1,"extra":0}`,
+		`{"cycle":5,"kind":"kernel-arrived","kernel":1,"cta":-1,"extra":0}`,
+		`{"cycle":200,"kind":"kernel-completed","kernel":1,"cta":-1,"extra":0}`,
+	}, "\n") + "\n"
+	rep, err := ingestTrace(strings.NewReader(stream), profile.Options{})
+	if err != nil {
+		t.Fatalf("ingestTrace: %v", err)
+	}
+	if len(rep.Sites) != 1 {
+		t.Fatalf("ingested sites = %+v, want one group", rep.Sites)
+	}
+	s := rep.Sites[0]
+	if s.Transit.Count != 0 || s.Transit.Sum != 0 || s.Transit.Max != 0 {
+		t.Errorf("backwards transit was observed: %+v", s.Transit)
+	}
+	if s.Total.Sum != 100 || s.Total.Max != 100 {
+		t.Errorf("total = %+v, want sum and max 100", s.Total)
+	}
+	if rep.Anomalies != 1 {
+		t.Errorf("anomalies = %d, want 1 (the backwards transit edge)", rep.Anomalies)
+	}
+}
+
+// FuzzIngestTrace feeds arbitrary JSONL to the trace ingester, seeded
+// with lines of a real simulator stream. Ingest must never panic, and a
+// report it returns must keep every stage latency within the stream's
+// cycle span.
+func FuzzIngestTrace(f *testing.F) {
+	var buf bytes.Buffer
+	sink := trace.NewJSONL(&buf)
+	if _, err := harness.Run(harness.Spec{
+		Benchmark:  "MM-small",
+		Scheme:     harness.SchemeSpawn,
+		TraceSinks: []trace.Sink{sink},
+	}); err != nil {
+		f.Fatalf("Run: %v", err)
+	}
+	if err := sink.Close(); err != nil {
+		f.Fatalf("closing JSONL sink: %v", err)
+	}
+	// Seed single lines across the stream, plus the whole lifecycle of
+	// the last kernel to retire: a short input holding one full span.
+	lines := strings.SplitAfter(strings.TrimSuffix(buf.String(), "\n"), "\n")
+	for i := 0; i < len(lines); i += len(lines)/16 + 1 {
+		f.Add(lines[i])
+	}
+	var je jsonlEvent
+	for i := len(lines) - 1; i >= 0; i-- {
+		if err := json.Unmarshal([]byte(lines[i]), &je); err != nil {
+			f.Fatalf("stream line %d: %v", i, err)
+		}
+		if je.Kind == "kernel-completed" {
+			break
+		}
+	}
+	tag := fmt.Sprintf(`"kernel":%d,`, je.Kernel)
+	var span strings.Builder
+	for _, l := range lines {
+		if strings.Contains(l, tag) {
+			span.WriteString(l)
+		}
+	}
+	f.Add(span.String())
+	f.Fuzz(func(t *testing.T, stream string) {
+		rep, err := ingestTrace(strings.NewReader(stream), profile.Options{})
+		if err != nil {
+			return
+		}
+		for _, s := range rep.Sites {
+			for _, h := range []profile.HistReport{s.Transit, s.Queue, s.Exec, s.Total} {
+				if h.Max > rep.Cycles {
+					t.Fatalf("site %s/%s: stage max %d exceeds the stream's %d cycles", s.Site, s.Kind, h.Max, rep.Cycles)
+				}
+			}
+		}
+	})
 }
 
 func TestWriteBenchTableFormats(t *testing.T) {

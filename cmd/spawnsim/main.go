@@ -61,11 +61,9 @@ func main() {
 		chaosSeed = flag.Uint64("chaos-seed", 0, "seed selecting the concrete fault schedule for -chaos-plan")
 		retries   = flag.Int("retries", 0, "retry transient chaos-run failures up to N times under derived seeds")
 
-		resume       = flag.String("resume", "", "checkpoint directory: completed runs are stored in <dir>/store and journaled to <dir>/journal.jsonl; re-invoking with the same flags replays finished sweep points and re-runs only the missing ones")
-		tolerate     = flag.Bool("tolerate", false, "degrade gracefully when the retry budget is exhausted: keep the partial result with the failure quarantined instead of failing the run")
-		stallWindow  = flag.Uint64("stall-window", 0, "abort a run that makes no simulated progress for N scheduler steps (livelock watchdog; 0 = off)")
-		stallTimeout = flag.Duration("stall-timeout", 0, "abort a run that delivers no heartbeat for this long in wall time (0 = off)")
-		retryBackoff = flag.Duration("retry-backoff", 0, "base wall-clock delay before each retry, doubling per attempt capped at 16x (0 = none)")
+		resume      = flag.String("resume", "", "checkpoint directory: completed runs are stored in <dir>/store and journaled to <dir>/journal.jsonl; re-invoking with the same flags replays finished sweep points and re-runs only the missing ones")
+		tolerate    = flag.Bool("tolerate", false, "degrade gracefully when the retry budget is exhausted: keep the partial result with the failure quarantined instead of failing the run")
+		stallWindow = flag.Uint64("stall-window", 0, "abort a run that makes no simulated progress for N scheduler steps (livelock watchdog; 0 = off)")
 
 		list = flag.Bool("list", false, "list benchmarks and exit")
 	)
@@ -123,8 +121,6 @@ func main() {
 	spec.Retries = *retries
 	spec.Tolerate = *tolerate
 	spec.StallWindow = *stallWindow
-	spec.StallTimeout = *stallTimeout
-	spec.RetryBackoff = *retryBackoff
 	if *chaosPlan != "" {
 		p, err := faults.Parse(*chaosPlan, *chaosSeed)
 		if err != nil {

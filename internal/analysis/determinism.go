@@ -20,9 +20,9 @@ import (
 //
 //   - no wall clock: the time package's clock readers and timers, as
 //     purity's ambient table classifies them (wall-clock sites that are
-//     genuinely presentation-only — heartbeat rates, deadline
-//     bookkeeping, retry backoff — carry a //spawnvet:allow determinism
-//     directive with a justification);
+//     genuinely presentation-only — heartbeat rates — carry a
+//     //spawnvet:allow determinism directive with a justification;
+//     wall-clock stops arrive only through a context.Context);
 //   - no package-global math/rand state (rand.Intn, rand.Seed, ...);
 //     seeded generators via rand.New(rand.NewSource(seed)) are fine;
 //   - no ranging over a map, except the canonical key-collection

@@ -145,9 +145,15 @@ func (p panicky) Decide(*kernel.LaunchSite) kernel.Decision {
 	panic("policy exploded")
 }
 
+// fixedPolicy is a MakePolicy factory that serves one policy instance to
+// every attempt, so a test can count decisions across retries.
+func fixedPolicy(pol kernel.Policy) func(config.GPU) kernel.Policy {
+	return func(config.GPU) kernel.Policy { return pol }
+}
+
 func TestPolicyPanicIsRecovered(t *testing.T) {
 	calls := 0
-	out, err := RunWithPolicy(Spec{Benchmark: "MM-small"}, config.K20m(), panicky{calls: &calls})
+	out, err := Run(Spec{Benchmark: "MM-small", MakePolicy: fixedPolicy(panicky{calls: &calls})})
 	if err == nil {
 		t.Fatal("panicking policy reported success")
 	}
@@ -168,9 +174,8 @@ func TestPolicyPanicIsRecovered(t *testing.T) {
 func TestChaosPanicIsRetried(t *testing.T) {
 	plan := faults.Mild(1)
 	calls := 0
-	_, err := RunWithPolicy(
-		Spec{Benchmark: "MM-small", FaultPlan: &plan, Retries: 2},
-		config.K20m(), panicky{calls: &calls})
+	_, err := Run(Spec{Benchmark: "MM-small", FaultPlan: &plan, Retries: 2,
+		MakePolicy: fixedPolicy(panicky{calls: &calls})})
 	if err == nil {
 		t.Fatal("always-panicking policy reported success")
 	}

@@ -3,7 +3,6 @@ package harness
 import (
 	"context"
 	"errors"
-	"time"
 
 	"spawnsim/internal/sim"
 )
@@ -33,10 +32,10 @@ func transientErr(spec *Spec, err error) bool {
 		case sim.AbortCanceled:
 			return false
 		case sim.AbortDeadline:
-			// Spec.Deadline is a per-attempt budget: the simulator arms a
-			// fresh wall clock at each Run, so an attempt that ran out of
-			// time under an unlucky fault schedule may finish under the
-			// next derived seed. Without a per-attempt deadline the abort
+			// Spec.Deadline is a per-attempt budget: runOnce arms a
+			// fresh timeout context for each attempt, so an attempt that
+			// ran out of time under an unlucky fault schedule may finish
+			// under the next derived seed. Without a per-attempt deadline the abort
 			// came from the caller's context deadline — their total
 			// budget — which no retry can recover.
 			return spec.Deadline > 0
@@ -98,33 +97,4 @@ func AbortKind(err error) (sim.AbortKind, bool) {
 		return abort.Kind, true
 	}
 	return 0, false
-}
-
-// sleepBackoff blocks before retry attempt n (n >= 1): base doubling
-// per attempt, capped at 16x base. A canceled context cuts the sleep
-// short. Backoff spends wall time only — it never touches seeds,
-// schedules, or anything a simulation observes.
-func sleepBackoff(ctx context.Context, base time.Duration, attempt int) {
-	if base <= 0 || attempt < 1 {
-		return
-	}
-	d := base
-	for i := 1; i < attempt && d < 16*base; i++ {
-		d *= 2
-	}
-	if d > 16*base {
-		d = 16 * base
-	}
-	if ctx == nil {
-		//spawnvet:allow determinism,purity retry backoff delays the next attempt; the attempt itself stays a pure function of its inputs
-		time.Sleep(d)
-		return
-	}
-	//spawnvet:allow determinism,purity cancellable retry backoff; the timer gates scheduling, never results
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-	case <-t.C:
-	}
 }

@@ -70,21 +70,22 @@ func fig5Assemble(benchmark string, outs []*Outcome) *Fig5Result {
 // (the paper's Figure 5): speedup over flat as a function of the
 // fraction of workload offloaded via child kernels.
 func (p *Pool) Fig5(benchmark string) (*Fig5Result, error) {
-	specs, err := fig5Specs(benchmark)
+	rs, err := p.fig5Batch([]string{benchmark})
 	if err != nil {
 		return nil, err
 	}
-	outs, err := p.Run(specs)
-	if err != nil {
-		return nil, err
-	}
-	return fig5Assemble(benchmark, outs), nil
+	return rs[0], nil
 }
 
-// Fig5All runs the Figure 5 sweep for every benchmark, as one flat
-// batch so the workers stay busy across benchmark boundaries.
+// Fig5All runs the Figure 5 sweep for every benchmark.
 func (p *Pool) Fig5All() ([]*Fig5Result, error) {
-	names := workloads.Names()
+	return p.fig5Batch(workloads.Names())
+}
+
+// fig5Batch runs the Figure 5 sweeps of the named benchmarks as one
+// flat batch, so the workers stay busy across benchmark boundaries,
+// and reassembles the per-benchmark results.
+func (p *Pool) fig5Batch(names []string) ([]*Fig5Result, error) {
 	var specs []Spec
 	ranges := make([][2]int, len(names)) // [start, end) of each benchmark's batch
 	for i, name := range names {
@@ -259,7 +260,7 @@ type MainComparison struct {
 	Spawn     *Outcome
 }
 
-// mainSchemes is the per-benchmark batch shape of CompareMain/CompareAll.
+// mainSchemes is the per-benchmark batch shape of CompareAll.
 var mainSchemes = []string{SchemeFlat, SchemeBaseline, SchemeOffline, SchemeSpawn}
 
 // compareBatch runs the four main schemes for each named benchmark as
@@ -283,16 +284,8 @@ func (p *Pool) compareBatch(names []string) ([]*MainComparison, error) {
 	return mcs, nil
 }
 
-// CompareMain runs the three evaluated schemes plus flat.
-func (p *Pool) CompareMain(benchmark string) (*MainComparison, error) {
-	mcs, err := p.compareBatch([]string{benchmark})
-	if err != nil {
-		return nil, err
-	}
-	return mcs[0], nil
-}
-
-// CompareAll runs CompareMain for every registry benchmark.
+// CompareAll runs the three evaluated schemes plus flat for every
+// registry benchmark.
 func (p *Pool) CompareAll() ([]*MainComparison, error) {
 	return p.compareBatch(workloads.Names())
 }

@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"spawnsim/internal/config"
 	"spawnsim/internal/runtime"
 )
 
@@ -255,7 +254,7 @@ func TestAblationVariantsComplete(t *testing.T) {
 }
 
 func TestRunWithPolicyCustom(t *testing.T) {
-	out, err := RunWithPolicy(Spec{Benchmark: "MM-small"}, config.K20m(), runtime.Flat{})
+	out, err := Run(Spec{Benchmark: "MM-small", MakePolicy: fixedPolicy(runtime.Flat{})})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,7 +31,7 @@ const storedVersion = 1
 // address. Field order is fixed and every field is a value the
 // simulation result depends on; observer/output knobs (metrics
 // registries, trace sinks, heartbeats, observers) and abort knobs
-// (deadlines, stall guards, tolerance) are deliberately absent — they
+// (deadlines, stall windows, tolerance) are deliberately absent — they
 // shape how a run is watched or cut short, never what a completed run
 // computes.
 type specKeyDesc struct {

@@ -428,34 +428,6 @@ func TestQuarantinedOutcomesNeverEnterStore(t *testing.T) {
 	}
 }
 
-// TestStallTimeoutRewrapsAsStalled: the wall-clock guard must classify
-// its abort as AbortStalled — one stall taxonomy whether the cycle
-// watchdog or the wall guard caught it.
-func TestStallTimeoutRewrapsAsStalled(t *testing.T) {
-	spec := Spec{
-		Benchmark:    "BFS-graph500",
-		Scheme:       SchemeFlat,
-		StallTimeout: time.Nanosecond, // fires before any heartbeat can land
-	}
-	out, err := Run(spec)
-	if err == nil {
-		t.Fatal("run with an instant stall timeout completed")
-	}
-	kind, ok := AbortKind(err)
-	if !ok || kind != sim.AbortStalled {
-		t.Fatalf("error = %v, want an AbortStalled abort", err)
-	}
-	if !strings.Contains(err.Error(), "wall-clock stall guard") {
-		t.Errorf("stall error %q does not name the wall-clock guard", err)
-	}
-	if out == nil || out.Result == nil {
-		t.Error("stall abort carries no partial result")
-	}
-	if code := ExitCode(err); code != ExitTimeout {
-		t.Errorf("ExitCode = %d, want %d", code, ExitTimeout)
-	}
-}
-
 // TestExitCodeTaxonomy pins the CLI exit-code mapping.
 func TestExitCodeTaxonomy(t *testing.T) {
 	cases := []struct {

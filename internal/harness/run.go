@@ -80,7 +80,7 @@ type Spec struct {
 	Observer func(*Outcome)
 	// Defaults, when non-nil, is applied to the spec (and every sweep
 	// candidate derived from it) immediately before simulation, so
-	// process-wide settings (wall-clock deadlines, chaos plans, cycle
+	// process-wide settings (per-attempt deadlines, chaos plans, cycle
 	// budgets from command-line flags) reach runs whose Spec the caller
 	// never constructs directly.
 	Defaults func(*Spec)
@@ -94,7 +94,9 @@ type Spec struct {
 	// simulator aborts with a partial result once it observes the
 	// cancellation.
 	Context context.Context
-	// Deadline, when non-zero, bounds the run's wall-clock time.
+	// Deadline, when non-zero, bounds each attempt's wall-clock time:
+	// every attempt runs under its own context.WithTimeout derived from
+	// Context, so a retry gets a fresh budget.
 	Deadline time.Duration
 	// MaxCycles overrides the simulator's cycle budget (0 = default).
 	MaxCycles uint64
@@ -119,12 +121,6 @@ type Spec struct {
 	// each under a seed derived from the plan's (attempt 0 keeps the
 	// plan's own seed, so unretried runs stay exactly reproducible).
 	Retries int
-	// RetryBackoff, when non-zero, sleeps before each retry attempt with
-	// capped exponential growth (base, 2x, 4x, ... capped at 16x). The
-	// sleep is purely harness-side wall time: the derived-seed schedule
-	// and every simulated artifact stay byte-identical with or without
-	// backoff. A set Context cuts the sleep short on cancellation.
-	RetryBackoff time.Duration
 	// Tolerate, when set, degrades gracefully once the retry budget is
 	// exhausted (or the failure is permanent): instead of failing the
 	// run, the last attempt's partial Outcome is returned with the
@@ -139,13 +135,6 @@ type Spec struct {
 	// AbortStalled carrying a machine snapshot, instead of spinning to
 	// its cycle budget.
 	StallWindow uint64
-	// StallTimeout, when non-zero, arms the harness's wall-clock stall
-	// guard: if the simulator delivers no heartbeat for this long in
-	// wall time — the process is wedged below the cycle loop, or the
-	// run is pathologically slow — the run is canceled and the abort is
-	// reported as AbortStalled. Complements StallWindow, which watches
-	// simulated progress and cannot see wall-clock hangs.
-	StallTimeout time.Duration
 }
 
 // Outcome bundles a run's result with its context.
@@ -290,26 +279,9 @@ func Run(spec Spec) (*Outcome, error) {
 	return runSpec(spec)
 }
 
-// RunWithPolicy executes the spec's benchmark under a caller-supplied
-// policy and configuration (custom policies, ablation studies). Engine
-// panics are recovered into errors; transient failures under an active
-// fault plan are retried up to Spec.Retries times with derived seeds.
-// An aborted run returns its partial *Outcome alongside the error, so
-// callers can still flush sinks and inspect progress.
-//
-// The same policy instance serves every retry attempt; a policy that
-// must start each attempt fresh should be submitted via Spec.MakePolicy
-// instead.
-func RunWithPolicy(spec Spec, cfg config.GPU, pol kernel.Policy) (*Outcome, error) {
-	spec.Config = &cfg
-	spec.MakePolicy = func(config.GPU) kernel.Policy { return pol }
-	return runSpec(spec)
-}
-
-// runSpec is the single-run engine behind Run and RunWithPolicy: it
-// applies the spec's defaults, resolves the policy (building a fresh
-// instance per attempt unless the caller pinned one), and drives the
-// retry loop.
+// runSpec is the single-run engine behind Run: it applies the spec's
+// defaults, resolves the policy (building a fresh instance per attempt
+// unless the caller pinned one), and drives the retry loop.
 func runSpec(spec Spec) (*Outcome, error) {
 	applyDefaults(&spec)
 	app, err := spec.buildApp()
@@ -341,12 +313,6 @@ func runSpec(spec Spec) (*Outcome, error) {
 	var lastOut *Outcome
 	var lastErr error
 	for attempt := 0; attempt <= spec.Retries; attempt++ {
-		if attempt > 0 {
-			// Backoff is pure wall time between attempts; the derived-seed
-			// schedule below is a function of the attempt number alone, so
-			// sleeping (or not) never changes what any attempt simulates.
-			sleepBackoff(spec.Context, spec.RetryBackoff, attempt)
-		}
 		out, err := runOnce(spec, cfg, makePol(cfg), app, def, attempt)
 		if out != nil {
 			out.Attempts = attempt + 1
@@ -435,8 +401,22 @@ func runOnce(spec Spec, cfg config.GPU, pol kernel.Policy, app *workloads.App, d
 	if spec.Profile != nil {
 		prof = profile.New(cfg.NumSMX, *spec.Profile)
 	}
-	guard := armStallGuard(&spec)
-	defer guard.stop()
+	sinks := spec.TraceSinks
+	if ring != nil {
+		sinks = append([]trace.Sink{ring}, sinks...)
+	}
+	// Spec.Deadline is a per-attempt budget, so only the simulator sees
+	// the timeout context; the Outcome and the retry classifier keep
+	// the caller's.
+	ctx := spec.Context
+	if spec.Deadline > 0 {
+		if ctx == nil {
+			ctx = context.Background()
+		}
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, spec.Deadline)
+		defer cancel()
+	}
 	g, err := sim.NewChecked(sim.Options{
 		Config:          cfg,
 		Policy:          pol,
@@ -445,23 +425,20 @@ func runOnce(spec Spec, cfg config.GPU, pol kernel.Policy, app *workloads.App, d
 		SampleInterval:  kernel.Cycle(spec.SampleInterval),
 		MaxCycles:       kernel.Cycle(spec.MaxCycles),
 		StallWindow:     kernel.Cycle(spec.StallWindow),
-		Trace:           ring,
-		Sinks:           spec.TraceSinks,
+		Sinks:           sinks,
 		Metrics:         reg,
 		Profile:         prof,
 		Heartbeat:       spec.Heartbeat,
 		HeartbeatEvery:  kernel.Cycle(spec.HeartbeatEvery),
 		Faults:          inj,
 		CheckInvariants: spec.CheckInvariants,
-		Context:         spec.Context,
-		Deadline:        spec.Deadline,
+		Context:         ctx,
 	})
 	if err != nil {
 		return nil, err
 	}
 	g.LaunchHost(def)
 	res, runErr := g.Run()
-	runErr = guard.rewrap(runErr)
 	if runErr != nil {
 		err = fmt.Errorf("harness: %s/%s: %w", spec.Benchmark, pol.Name(), runErr)
 		if res == nil {

@@ -62,9 +62,8 @@ func TestRetriedRunNeverMutatesCallerPlan(t *testing.T) {
 	plan := faults.Mild(42)
 	want := plan // full value snapshot before the run
 	calls := 0
-	out, err := RunWithPolicy(
-		Spec{Benchmark: "MM-small", FaultPlan: &plan, Retries: 2},
-		config.K20m(), panicky{calls: &calls})
+	out, err := Run(Spec{Benchmark: "MM-small", FaultPlan: &plan, Retries: 2,
+		MakePolicy: fixedPolicy(panicky{calls: &calls})})
 	if err == nil {
 		t.Fatal("always-panicking policy reported success")
 	}

@@ -89,9 +89,9 @@ func (p *Profile) KernelSite(id int, site string, kind LaunchKind) {
 // Record implements trace.Sink: span stage boundaries are read off the
 // ordinary event stream. Unknown or out-of-order transitions never
 // panic — chaos-aborted runs produce partial spans, and a retire
-// without a placement is counted as an anomaly — so the profiler can
-// also replay externally captured JSONL streams. Safe on a nil
-// receiver.
+// without a placement or a stage edge that runs backwards in time is
+// counted as an anomaly — so the profiler can also replay externally
+// captured JSONL streams. Safe on a nil receiver.
 //
 //spawnvet:hotpath reached per trace event through the trace.Sink interface, which the call graph does not resolve
 func (p *Profile) Record(e trace.Event) {
@@ -161,19 +161,30 @@ func (p *Profile) foldSpan(s *openSpan, end uint64, partial bool) {
 		a.count++
 	}
 	if s.hasArrived {
-		a.transit.observe(s.arrived - s.submitted)
+		p.stage(&a.transit, s.submitted, s.arrived)
 		if s.hasFirst {
-			a.queue.observe(s.firstCTA - s.arrived)
+			p.stage(&a.queue, s.arrived, s.firstCTA)
 		}
 	} else {
 		p.anomalies++
 	}
 	if s.hasFirst && !partial {
-		a.exec.observe(end - s.firstCTA)
+		p.stage(&a.exec, s.firstCTA, end)
 	}
 	if !partial {
-		a.total.observe(end - s.submitted)
+		p.stage(&a.total, s.submitted, end)
 	}
+}
+
+// stage observes one stage edge, from -> to. An edge that runs
+// backwards is an out-of-order transition: it counts as an anomaly and
+// is not observed, so it can never wrap into a huge latency.
+func (p *Profile) stage(h *hist, from, to uint64) {
+	if to < from {
+		p.anomalies++
+		return
+	}
+	h.observe(to - from)
 }
 
 // closeOpenSpans folds still-open spans as partial (aborted runs render

@@ -26,7 +26,7 @@ const (
 	AbortDeadlock
 	// AbortCanceled: Options.Context was canceled.
 	AbortCanceled
-	// AbortDeadline: Options.Deadline elapsed (or the context's deadline).
+	// AbortDeadline: Options.Context's deadline expired.
 	AbortDeadline
 	// AbortInvariant: the Options.CheckInvariants auditor found a broken
 	// conservation law (the underlying *InvariantError is in Err).
@@ -35,9 +35,8 @@ const (
 	// instruction, placed CTA, launch decision, arrival, or completed
 	// kernel — for Options.StallWindow consecutive scheduler steps
 	// while the clock kept advancing (a livelock, e.g. a policy
-	// deferring forever), or the harness's wall-clock stall guard
-	// fired. The Stall field carries a snapshot of where the machine
-	// was stuck.
+	// deferring forever). The Stall field carries a snapshot of where
+	// the machine was stuck.
 	AbortStalled
 )
 
@@ -76,8 +75,7 @@ type AbortError struct {
 	// the configured bound for max-cycles).
 	Detail string
 	// Stall is the machine snapshot of an AbortStalled abort (nil for
-	// every other kind, and for the harness's wall-clock guard, which
-	// has no cycle-accurate view of the engine).
+	// every other kind).
 	Stall *StallSnapshot
 }
 

@@ -91,9 +91,11 @@ func TestDeadlineAbortClosesValidPerfetto(t *testing.T) {
 	var buf bytes.Buffer
 	cfg := config.K20m()
 	sink := trace.NewPerfetto(&buf, cfg.NumSMX)
+	ctx, cancel := context.WithTimeout(context.Background(), 150*time.Millisecond)
+	defer cancel()
 	start := time.Now()
 	res, abort := runAborting(t, def, func(o *Options) {
-		o.Deadline = 150 * time.Millisecond
+		o.Context = ctx
 		o.Sinks = []trace.Sink{sink}
 	})
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
@@ -221,7 +223,7 @@ func TestFaultEventsReachTrace(t *testing.T) {
 	ring := trace.New(100_000)
 	run(t, runtime.Threshold{T: 0}, dpParent(256, 50, 3, 8), func(o *Options) {
 		o.Faults = inj
-		o.Trace = ring
+		o.Sinks = []trace.Sink{ring}
 	})
 	if inj.TotalInjected() == 0 {
 		t.Skip("seed 5 injected nothing on this workload")

@@ -27,6 +27,10 @@ import (
 // DefaultMaxCycles bounds a simulation that fails to terminate.
 const DefaultMaxCycles = 2_000_000_000
 
+// dtblLaunchCycles is the latency of a DTBL CTA-group launch: tiny
+// next to the kernel launch overhead, which is DTBL's point.
+const dtblLaunchCycles kernel.Cycle = 150
+
 // Engine selects the inner-loop implementation of Run. Both engines
 // share one tick body and one dueness definition (see nextEvent), so
 // they produce byte-identical Results, traces, metrics and profile
@@ -93,16 +97,10 @@ type Options struct {
 	// trip the window; only livelock — e.g. a policy deferring the same
 	// candidates forever, waking every cycle — accumulates toward it.
 	StallWindow kernel.Cycle
-	// DTBLLaunchCycles is the latency for a DTBL CTA-group launch
-	// (0 = default 150 cycles; DTBL's point is that it is tiny compared
-	// to the kernel launch overhead).
-	DTBLLaunchCycles kernel.Cycle
-	// Trace, when non-nil, records kernel/CTA lifecycle and launch
-	// decision events into the bounded ring (see internal/trace).
-	Trace *trace.Ring
-	// Sinks receive the full event stream alongside the ring (streaming
-	// JSONL, the Perfetto exporter, custom sinks). Nil entries are
-	// ignored. The simulator does not close sinks; their owner does.
+	// Sinks receive the full event stream: the bounded in-memory ring
+	// (*trace.Ring), streaming JSONL, the Perfetto exporter, custom
+	// sinks. Nil entries are ignored. The simulator does not close
+	// sinks; their owner does.
 	Sinks []trace.Sink
 	// Metrics, when non-nil, instruments the run: the engine, GMU, SMXs
 	// and memory hierarchy register their series with it (see
@@ -135,14 +133,12 @@ type Options struct {
 	// never alters the Result, traces, or metrics.
 	Profile *profile.Profile
 	// Context, when non-nil, cancels the run: Run returns an AbortError
-	// (kind canceled or deadline) with a partial Result once it observes
-	// the cancellation. Checked every few thousand loop iterations, so
-	// aborts land within milliseconds of wall time.
+	// (kind canceled, or deadline when the context's deadline expired)
+	// with a partial Result once it observes the cancellation. It is
+	// the run's only wall-clock stop signal; bound a run's wall time
+	// with context.WithTimeout. Checked every few thousand loop
+	// iterations, so aborts land within milliseconds of wall time.
 	Context context.Context
-	// Deadline, when non-zero, bounds the run's wall-clock time even
-	// without a context (a lighter-weight alternative to
-	// context.WithTimeout for sweep harnesses).
-	Deadline time.Duration
 }
 
 // Progress is one heartbeat sample of a running simulation.
@@ -255,7 +251,6 @@ type GPU struct {
 	liveKernels int
 
 	maxCycles kernel.Cycle
-	dtblLat   kernel.Cycle
 	sinks     []trace.Sink
 	prof      *profile.Profile
 
@@ -280,8 +275,7 @@ type GPU struct {
 	invEvery kernel.Cycle
 	invNext  kernel.Cycle
 
-	ctx      context.Context
-	deadline time.Duration
+	ctx context.Context
 
 	// Observability (nil/empty when metrics are disabled).
 	reg       *metrics.Registry
@@ -358,15 +352,10 @@ func NewChecked(opts Options) (*GPU, error) {
 		mem:         mem.NewHierarchy(opts.Config),
 		gmu:         gmu.New(opts.Config),
 		maxCycles:   opts.MaxCycles,
-		dtblLat:     opts.DTBLLaunchCycles,
 		stallWindow: opts.StallWindow,
 		checkInv:    opts.CheckInvariants,
 		invEvery:    opts.InvariantEvery,
 		ctx:         opts.Context,
-		deadline:    opts.Deadline,
-	}
-	if opts.Trace != nil {
-		g.sinks = append(g.sinks, opts.Trace)
 	}
 	for _, s := range opts.Sinks {
 		if s != nil {
@@ -382,9 +371,6 @@ func NewChecked(opts Options) (*GPU, error) {
 	}
 	if g.maxCycles == 0 {
 		g.maxCycles = DefaultMaxCycles
-	}
-	if g.dtblLat == 0 {
-		g.dtblLat = 150
 	}
 	if g.checkInv && g.invEvery == 0 {
 		g.invEvery = 65_536
@@ -561,8 +547,8 @@ func (g *GPU) launchChild(now kernel.Cycle, w *kernel.Warp, cand *kernel.LaunchC
 		if w.LaunchPipeFree < now {
 			w.LaunchPipeFree = now
 		}
-		w.LaunchPipeFree += g.dtblLat
-		arrival = w.LaunchPipeFree + g.dtblLat
+		w.LaunchPipeFree += dtblLaunchCycles
+		arrival = w.LaunchPipeFree + dtblLaunchCycles
 		w.PendingLaunches++
 		g.dtblGroups++
 		g.prof.KernelSite(k.ID, w.CTA.Kernel.Def.Name, profile.KindDTBL)
@@ -1027,8 +1013,8 @@ func (g *GPU) abortStalled(now kernel.Cycle) (*Result, error) {
 	}
 }
 
-// ctlEvery is the loop-iteration period for wall-clock control checks
-// (context cancellation, deadline). Iterations are sub-microsecond, so
+// ctlEvery is the loop-iteration period for the wall-clock control
+// check (Options.Context cancellation or deadline). Iterations are sub-microsecond, so
 // aborts land within a few milliseconds of the trigger.
 const ctlEvery = 1 << 13
 
@@ -1084,7 +1070,7 @@ func (g *GPU) injBoundary(now kernel.Cycle) bool {
 
 // Run simulates until every submitted kernel (and its descendants)
 // completes, returning the collected metrics. Aborted runs — cycle
-// budget, deadlock, cancellation, wall-clock deadline, invariant
+// budget, deadlock, cancellation, context deadline, invariant
 // violation — return a partial *Result alongside an *AbortError.
 func (g *GPU) Run() (*Result, error) {
 	if g.liveKernels == 0 {
@@ -1095,11 +1081,6 @@ func (g *GPU) Run() (*Result, error) {
 		g.hbStart = time.Now()
 		g.hbLastWall = g.hbStart
 		g.hbNext = g.hbEvery
-	}
-	var wallDeadline time.Time
-	if g.deadline > 0 {
-		//spawnvet:allow determinism,purity wall-clock deadline bounds runaway sweeps; an expired deadline aborts rather than changing results
-		wallDeadline = time.Now().Add(g.deadline)
 	}
 	g.invNext = g.invEvery
 	ctl := 0
@@ -1119,11 +1100,6 @@ func (g *GPU) Run() (*Result, error) {
 					}
 					return g.abort(kind, now, err, "")
 				}
-			}
-			//spawnvet:allow determinism,purity wall-clock deadline check; aborts the run, never perturbs it
-			if !wallDeadline.IsZero() && time.Now().After(wallDeadline) {
-				return g.abort(AbortDeadline, now, context.DeadlineExceeded,
-					fmt.Sprintf("wall-clock deadline %v elapsed", g.deadline))
 			}
 		}
 		if next := g.nextEvent(now); next <= now {
