@@ -2,8 +2,14 @@ package workloads_test
 
 import (
 	"crypto/sha256"
+	"encoding/json"
+	"flag"
 	"fmt"
+	"os"
+	"path/filepath"
 	"runtime"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 
@@ -25,13 +31,62 @@ func inputDigests() map[string][sha256.Size]byte {
 	return out
 }
 
+var update = flag.Bool("update", false, "rewrite testdata/results.golden")
+
+// goldenPath pins the absolute result of every (benchmark, scheme) run.
+// The parity suites only compare one build with itself (wheel vs
+// stepped, 1 vs N workers, resumed vs uninterrupted); this file is the
+// oracle that notices when a change moves the simulated numbers at all.
+var goldenPath = filepath.Join("testdata", "results.golden")
+
+// goldenLine is one run's pinned result: cycles and L2 hit rate in
+// clear for a readable diff, plus the sha256 of the whole Result's JSON.
+func goldenLine(t *testing.T, bench, scheme string, out *harness.Outcome) string {
+	t.Helper()
+	raw, err := json.Marshal(out.Result)
+	if err != nil {
+		t.Fatalf("%s/%s: marshal result: %v", bench, scheme, err)
+	}
+	return fmt.Sprintf("%s %s cycles=%d l2_hit_rate=%s result_sha256=%x",
+		bench, scheme, out.Result.Cycles,
+		strconv.FormatFloat(out.Result.L2HitRate, 'g', -1, 64), sha256.Sum256(raw))
+}
+
+// checkGolden compares the run lines with the committed golden file, or
+// rewrites it under -update.
+func checkGolden(t *testing.T, lines []string) {
+	t.Helper()
+	got := strings.Join(lines, "\n") + "\n"
+	if *update {
+		if err := os.WriteFile(goldenPath, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(goldenPath)
+	if err != nil {
+		t.Fatalf("missing golden file (run with -update to create): %v", err)
+	}
+	wantLines := strings.Split(strings.TrimSuffix(string(want), "\n"), "\n")
+	if len(wantLines) != len(lines) {
+		t.Errorf("%s has %d runs, this build produced %d", goldenPath, len(wantLines), len(lines))
+	}
+	for i := 0; i < len(lines) && i < len(wantLines); i++ {
+		if lines[i] != wantLines[i] {
+			t.Errorf("result differs from %s:\n got: %s\nwant: %s", goldenPath, lines[i], wantLines[i])
+		}
+	}
+}
+
 // TestAllBenchmarksCompleteUnderEveryScheme runs every benchmark under
-// every scheme on the shared inputs and checks that no run changed them.
+// every scheme on the shared inputs, checks that no run changed them,
+// and pins every run's result against testdata/results.golden.
 func TestAllBenchmarksCompleteUnderEveryScheme(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long: full benchmark x scheme matrix")
 	}
 	before := inputDigests()
+	var lines []string
 	for _, b := range append(workloads.Names(), "SA-elegans") {
 		for _, s := range []string{harness.SchemeFlat, harness.SchemeBaseline, harness.SchemeSpawn, harness.SchemeDTBL} {
 			out, err := harness.Run(harness.Spec{Benchmark: b, Scheme: s})
@@ -45,8 +100,10 @@ func TestAllBenchmarksCompleteUnderEveryScheme(t *testing.T) {
 			if out.Result.Occupancy <= 0 || out.Result.Occupancy > 1 {
 				t.Errorf("%s/%s: occupancy %v out of range", b, s, out.Result.Occupancy)
 			}
+			lines = append(lines, goldenLine(t, b, s, out))
 		}
 	}
+	checkGolden(t, lines)
 	for name, d := range inputDigests() {
 		if d != before[name] {
 			t.Errorf("shared input %s changed during the runs", name)
