@@ -9,17 +9,50 @@
 // See DESIGN.md §4 for the rationale.
 package mem
 
-import "spawnsim/internal/sim/kernel"
+import (
+	"math/bits"
+
+	"spawnsim/internal/sim/kernel"
+)
+
+// divisor divides by a count fixed at construction: a shift and a mask
+// when the count is a power of two, one hardware division otherwise
+// (Go computes x/n and x%n with a single DIV).
+type divisor struct {
+	n     uint64
+	shift uint
+	pow2  bool
+}
+
+func newDivisor(n int) divisor {
+	u := uint64(n)
+	return divisor{n: u, shift: uint(bits.TrailingZeros64(u)), pow2: u&(u-1) == 0}
+}
+
+// divmod returns x/n and x%n.
+func (d divisor) divmod(x uint64) (q, r uint64) {
+	if d.pow2 {
+		return x >> d.shift, x & (d.n - 1)
+	}
+	return x / d.n, x % d.n
+}
+
+// way is one way of a set. tag holds line+1, so the zero way is invalid
+// and matches no line; use is the LRU clock of the way's last access,
+// 0 while the way has never been filled.
+type way struct {
+	tag uint64
+	use uint64
+}
 
 // Cache is a set-associative cache tag array with LRU replacement.
 // It tracks lines only (no data) and is addressed by line number.
+// Lines are byte addresses shifted by the line size, so line+1 never
+// wraps to the invalid tag.
 type Cache struct {
-	sets int
-	ways int
-
-	valid []bool
-	tag   []uint64
-	use   []uint64 // LRU clock per way
+	sets  divisor
+	assoc int
+	ways  []way // sets*assoc records, set-major
 
 	clock uint64
 
@@ -35,51 +68,61 @@ func NewCache(bytes kernel.Bytes, ways int, lineBytes kernel.Bytes) *Cache {
 	if sets < 1 {
 		sets = 1
 	}
-	n := sets * ways
 	return &Cache{
-		sets:  sets,
-		ways:  ways,
-		valid: make([]bool, n),
-		tag:   make([]uint64, n),
-		use:   make([]uint64, n),
+		sets:  newDivisor(sets),
+		assoc: ways,
+		ways:  make([]way, sets*ways),
 	}
 }
 
 // Sets returns the number of sets.
-func (c *Cache) Sets() int { return c.sets }
+func (c *Cache) Sets() int { return int(c.sets.n) }
+
+// set returns the ways of the set that line maps to.
+func (c *Cache) set(line uint64) []way {
+	_, s := c.sets.divmod(line)
+	base := int(s) * c.assoc
+	return c.ways[base : base+c.assoc]
+}
 
 // Access looks up (and on miss, allocates) the given line.
 // It returns true on hit.
+//
+// One pass over the set finds both the hit way and the victim, with no
+// data-dependent branch in the loop: the victim is the first way with
+// the smallest use clock. Never-filled ways have use 0, and filled ways
+// have distinct clocks, so this evicts exactly the line that "the last
+// invalid way, else the least recently used" would; only the slot an
+// invalid victim lands in differs, and nothing observes slots.
 func (c *Cache) Access(line uint64) bool {
 	c.clock++
 	c.Accesses++
-	set := int(line % uint64(c.sets))
-	base := set * c.ways
-	victim := base
-	for i := base; i < base+c.ways; i++ {
-		if c.valid[i] && c.tag[i] == line {
-			c.use[i] = c.clock
-			c.Hits++
-			return true
+	set := c.set(line)
+	tag := line + 1
+	hit := -1
+	victim, oldest := 0, set[0].use
+	for i := range set {
+		w := set[i]
+		if w.tag == tag {
+			hit = i
 		}
-		if !c.valid[i] {
-			victim = i
-		} else if c.valid[victim] && c.use[i] < c.use[victim] {
-			victim = i
+		if w.use < oldest {
+			victim, oldest = i, w.use
 		}
 	}
-	c.valid[victim] = true
-	c.tag[victim] = line
-	c.use[victim] = c.clock
+	if hit >= 0 {
+		set[hit].use = c.clock
+		c.Hits++
+		return true
+	}
+	set[victim] = way{tag: tag, use: c.clock}
 	return false
 }
 
 // Probe reports whether the line is present without touching LRU or stats.
 func (c *Cache) Probe(line uint64) bool {
-	set := int(line % uint64(c.sets))
-	base := set * c.ways
-	for i := base; i < base+c.ways; i++ {
-		if c.valid[i] && c.tag[i] == line {
+	for _, w := range c.set(line) {
+		if w.tag == line+1 {
 			return true
 		}
 	}
@@ -92,12 +135,4 @@ func (c *Cache) HitRate() float64 {
 		return 0
 	}
 	return float64(c.Hits) / float64(c.Accesses)
-}
-
-// Reset clears contents and statistics.
-func (c *Cache) Reset() {
-	for i := range c.valid {
-		c.valid[i] = false
-	}
-	c.clock, c.Accesses, c.Hits = 0, 0, 0
 }

@@ -29,8 +29,15 @@ type Hierarchy struct {
 	l2Port []kernel.Cycle // per-partition L2 next-free time
 	banks  []bank         // MemControllers * BanksPerMC
 
-	linesPerRow uint64
-	lineShift   uint
+	// The address decode. Lines interleave across L2 partitions; inside
+	// a partition, bank-local lines interleave across the memory
+	// controller's banks, and rowLines consecutive same-bank lines share
+	// one DRAM row.
+	partitions divisor // L2Partitions
+	banksPerMC divisor // BanksPerMC
+	rowLines   divisor // BanksPerMC * lines per row
+	bankBase   []int   // per partition: first bank of its memory controller
+	lineShift  uint
 
 	// dramPenalty, when non-nil, returns extra cycles for a DRAM access
 	// serviced at the given cycle (the fault injector's latency-spike
@@ -46,17 +53,24 @@ type Hierarchy struct {
 
 // NewHierarchy builds the memory system for the given configuration.
 func NewHierarchy(cfg config.GPU) *Hierarchy {
-	h := &Hierarchy{
-		cfg:         cfg,
-		l1:          make([]*Cache, cfg.NumSMX),
-		l2:          make([]*Cache, cfg.L2Partitions),
-		l1Port:      make([]kernel.Cycle, cfg.NumSMX),
-		l2Port:      make([]kernel.Cycle, cfg.L2Partitions),
-		banks:       make([]bank, cfg.MemControllers*cfg.BanksPerMC),
-		linesPerRow: uint64(cfg.RowBytes / cfg.CacheLineBytes),
+	linesPerRow := int(cfg.RowBytes / cfg.CacheLineBytes) // dimensionless line count
+	if linesPerRow == 0 {
+		linesPerRow = 1
 	}
-	if h.linesPerRow == 0 {
-		h.linesPerRow = 1
+	h := &Hierarchy{
+		cfg:        cfg,
+		l1:         make([]*Cache, cfg.NumSMX),
+		l2:         make([]*Cache, cfg.L2Partitions),
+		l1Port:     make([]kernel.Cycle, cfg.NumSMX),
+		l2Port:     make([]kernel.Cycle, cfg.L2Partitions),
+		banks:      make([]bank, cfg.MemControllers*cfg.BanksPerMC),
+		partitions: newDivisor(cfg.L2Partitions),
+		banksPerMC: newDivisor(cfg.BanksPerMC),
+		rowLines:   newDivisor(cfg.BanksPerMC * linesPerRow),
+		bankBase:   make([]int, cfg.L2Partitions),
+	}
+	for p := range h.bankBase {
+		h.bankBase[p] = p / cfg.PartitionsPerMC * cfg.BanksPerMC
 	}
 	for lb := cfg.CacheLineBytes; lb > 1; lb >>= 1 {
 		h.lineShift++
@@ -111,25 +125,22 @@ func (h *Hierarchy) BusyBanks(now kernel.Cycle) int {
 	return n
 }
 
-// partitionOf maps a line to its L2 partition (lines interleave across
-// partitions, as address hashing does on real parts).
-func (h *Hierarchy) partitionOf(line uint64) int {
-	return int(line % uint64(len(h.l2)))
+// partitionOf splits a line into its L2 partition p (lines interleave
+// across partitions, as address hashing does on real parts) and its
+// partition-local index q: one division serves the whole decode.
+func (h *Hierarchy) partitionOf(line uint64) (p int, q uint64) {
+	q, r := h.partitions.divmod(line)
+	return int(r), q
 }
 
-// bankOf maps a line to its DRAM bank.
-func (h *Hierarchy) bankOf(line uint64) int {
-	mc := h.partitionOf(line) / h.cfg.PartitionsPerMC
-	b := int((line / uint64(len(h.l2))) % uint64(h.cfg.BanksPerMC))
-	return mc*h.cfg.BanksPerMC + b
-}
-
-// rowOf maps a line to its DRAM row within its bank. Rows are counted in
-// bank-local line indices so that linesPerRow consecutive same-bank lines
+// dramAddr maps a line, given as its partition p and partition-local
+// index q, to its DRAM bank and to its row within that bank. Rows count
+// bank-local lines, so that linesPerRow consecutive same-bank lines
 // share one row.
-func (h *Hierarchy) rowOf(line uint64) uint64 {
-	local := line / uint64(len(h.l2)) / uint64(h.cfg.BanksPerMC)
-	return local / h.linesPerRow
+func (h *Hierarchy) dramAddr(p int, q uint64) (bank int, row uint64) {
+	_, b := h.banksPerMC.divmod(q)
+	row, _ = h.rowLines.divmod(q)
+	return h.bankBase[p] + int(b), row
 }
 
 // lineTransaction times one coalesced line access from SMX `smx` issued
@@ -150,7 +161,7 @@ func (h *Hierarchy) lineTransaction(now kernel.Cycle, smx int, line uint64) kern
 	}
 
 	// Traverse the crossbar to the L2 partition.
-	p := h.partitionOf(line)
+	p, q := h.partitionOf(line)
 	atL2 := start + cfg.L1HitLatency + cfg.InterconnectLat
 	if h.l2Port[p] > atL2 {
 		atL2 = h.l2Port[p]
@@ -163,8 +174,8 @@ func (h *Hierarchy) lineTransaction(now kernel.Cycle, smx int, line uint64) kern
 
 	// DRAM.
 	h.DRAMAccesses++
-	b := &h.banks[h.bankOf(line)]
-	row := h.rowOf(line)
+	bi, row := h.dramAddr(p, q)
+	b := &h.banks[bi]
 	atBank := atL2 + cfg.L2HitLatency
 	if b.nextFree > atBank {
 		atBank = b.nextFree

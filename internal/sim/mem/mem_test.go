@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -39,15 +40,6 @@ func TestCacheLRUEviction(t *testing.T) {
 	}
 	if !c.Probe(4) {
 		t.Error("line 4 not resident")
-	}
-}
-
-func TestCacheReset(t *testing.T) {
-	c := NewCache(4*128, 4, 128)
-	c.Access(1)
-	c.Reset()
-	if c.Accesses != 0 || c.Probe(1) {
-		t.Error("Reset did not clear cache")
 	}
 }
 
@@ -173,7 +165,7 @@ func TestPartitionAndBankMapping(t *testing.T) {
 	// Partition mapping covers all partitions for consecutive lines.
 	seen := map[int]bool{}
 	for line := uint64(0); line < uint64(cfg.L2Partitions); line++ {
-		p := h.partitionOf(line)
+		p, _ := h.partitionOf(line)
 		if p < 0 || p >= cfg.L2Partitions {
 			t.Fatalf("partition %d out of range", p)
 		}
@@ -184,9 +176,148 @@ func TestPartitionAndBankMapping(t *testing.T) {
 	}
 	// Bank ids stay in range.
 	for line := uint64(0); line < 10000; line += 97 {
-		b := h.bankOf(line)
+		b, _ := h.dramAddr(h.partitionOf(line))
 		if b < 0 || b >= cfg.MemControllers*cfg.BanksPerMC {
 			t.Fatalf("bank %d out of range for line %d", b, line)
+		}
+	}
+}
+
+// refCache is the original tag array, kept as the oracle for Cache:
+// parallel valid/tag/use arrays, an early return on hit, and a victim
+// that is the last invalid way, otherwise the least recently used one.
+type refCache struct {
+	sets, ways     int
+	valid          []bool
+	tag, use       []uint64
+	clock          uint64
+	accesses, hits uint64
+}
+
+func newRefCache(sets, ways int) *refCache {
+	n := sets * ways
+	return &refCache{sets: sets, ways: ways, valid: make([]bool, n), tag: make([]uint64, n), use: make([]uint64, n)}
+}
+
+func (c *refCache) access(line uint64) bool {
+	c.clock++
+	c.accesses++
+	base := int(line%uint64(c.sets)) * c.ways
+	victim := base
+	for i := base; i < base+c.ways; i++ {
+		if c.valid[i] && c.tag[i] == line {
+			c.use[i] = c.clock
+			c.hits++
+			return true
+		}
+		if !c.valid[i] {
+			victim = i
+		} else if c.valid[victim] && c.use[i] < c.use[victim] {
+			victim = i
+		}
+	}
+	c.valid[victim] = true
+	c.tag[victim] = line
+	c.use[victim] = c.clock
+	return false
+}
+
+func (c *refCache) probe(line uint64) bool {
+	base := int(line%uint64(c.sets)) * c.ways
+	for i := base; i < base+c.ways; i++ {
+		if c.valid[i] && c.tag[i] == line {
+			return true
+		}
+	}
+	return false
+}
+
+// TestCacheMatchesReference drives Cache and the original tag array
+// with the same seeded line streams and requires the same hit/miss
+// sequence, counters and Probe answers. The geometries cover
+// power-of-two and other set counts, a single set, and 1-, 3-, 4-, 8-
+// and 16-way sets; the streams range from dense (reuse within about
+// twice the capacity) to sparse (almost every access misses).
+func TestCacheMatchesReference(t *testing.T) {
+	const lineBytes = 128
+	geoms := []struct{ sets, ways int }{
+		{1, 1}, {1, 4}, {1, 16}, {32, 4}, {128, 8}, {96, 8}, {12, 16}, {7, 1}, {3, 3}, {64, 3},
+	}
+	for _, g := range geoms {
+		lines := uint64(g.sets * g.ways)
+		for _, span := range []uint64{lines, 2 * lines, 8 * lines, 1 << 40} {
+			c := NewCache(kernel.Bytes(g.sets*g.ways*lineBytes), g.ways, lineBytes)
+			if c.Sets() != g.sets {
+				t.Fatalf("%dx%d: Sets() = %d", g.sets, g.ways, c.Sets())
+			}
+			ref := newRefCache(g.sets, g.ways)
+			rng := rand.New(rand.NewSource(int64(g.sets*1000 + g.ways)))
+			stream := make([]uint64, 20000)
+			for i := range stream {
+				stream[i] = uint64(rng.Int63n(int64(span)))
+			}
+			for i, line := range stream {
+				if got, want := c.Access(line), ref.access(line); got != want {
+					t.Fatalf("%dx%d span %d: access %d (line %d) hit=%v, reference hit=%v",
+						g.sets, g.ways, span, i, line, got, want)
+				}
+			}
+			if c.Hits != ref.hits || c.Accesses != ref.accesses {
+				t.Errorf("%dx%d span %d: hits/accesses %d/%d, reference %d/%d",
+					g.sets, g.ways, span, c.Hits, c.Accesses, ref.hits, ref.accesses)
+			}
+			for _, line := range append(stream[len(stream)-200:], 0, 1, lines, lines+1) {
+				if got, want := c.Probe(line), ref.probe(line); got != want {
+					t.Errorf("%dx%d span %d: Probe(%d) = %v, reference %v", g.sets, g.ways, span, line, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestAddressDecodeMatchesReference checks the one-division decode
+// (partitionOf, dramAddr) against the original per-field formulas on
+// K20m and on other geometries that config.Validate accepts.
+func TestAddressDecodeMatchesReference(t *testing.T) {
+	geoms := []struct {
+		mcs, partsPerMC, banks int
+		rowBytes               kernel.Bytes
+	}{
+		{6, 2, 8, 2048}, // K20m
+		{8, 2, 16, 2048},
+		{3, 2, 8, 4096},
+		{5, 3, 6, 1024},
+		{4, 4, 4, 64}, // a row narrower than a line
+		{1, 1, 1, 128},
+	}
+	for _, g := range geoms {
+		cfg := testCfg()
+		cfg.MemControllers, cfg.PartitionsPerMC, cfg.BanksPerMC, cfg.RowBytes = g.mcs, g.partsPerMC, g.banks, g.rowBytes
+		cfg.L2Partitions = g.mcs * g.partsPerMC
+		if err := cfg.Validate(); err != nil {
+			t.Fatalf("%+v: %v", g, err)
+		}
+		h := NewHierarchy(cfg)
+		parts := uint64(cfg.L2Partitions)
+		linesPerRow := uint64(cfg.RowBytes / cfg.CacheLineBytes)
+		if linesPerRow == 0 {
+			linesPerRow = 1
+		}
+		rng := rand.New(rand.NewSource(int64(cfg.L2Partitions)))
+		for i := 0; i < 20000; i++ {
+			line := uint64(i)
+			if i%2 == 1 {
+				line = uint64(rng.Int63n(1 << 50))
+			}
+			wantP := int(line % parts)
+			wantBank := wantP/cfg.PartitionsPerMC*cfg.BanksPerMC + int(line/parts%uint64(cfg.BanksPerMC))
+			wantRow := line / parts / uint64(cfg.BanksPerMC) / linesPerRow
+			p, q := h.partitionOf(line)
+			bank, row := h.dramAddr(p, q)
+			if p != wantP || bank != wantBank || row != wantRow {
+				t.Fatalf("%+v line %d: partition/bank/row %d/%d/%d, want %d/%d/%d",
+					g, line, p, bank, row, wantP, wantBank, wantRow)
+			}
 		}
 	}
 }
